@@ -21,8 +21,8 @@ class CapExceeded(RuntimeError):
 @dataclass(frozen=True)
 class Caps:
     table_entries: int = 1 << 24   # rule table size m**(d+1)
-    subset_states: int = 1 << 20   # states visited by subset / count-vector searches
-    pair_vertices: int = 1 << 24   # pair-graph vertex bound m**(2d)
+    subset_states: int = 1 << 20   # count vectors visited by the balance search
+    pair_vertices: int = 1 << 24   # pair vertices reached by the diamond search; full graph m**(2d)
     poly_search: int = 1 << 20     # coefficient tuples enumerated by representability_search
     family_rules: int = 1 << 20    # rules enumerated by a single family run
 

@@ -2,8 +2,19 @@
 
 Everything here works on the full rule table, with no algebraic
 assumptions; the criteria module audits its closed-form predictions
-against these verdicts. Negative verdicts come with finite witnesses
-that re-validate against the rule:
+against these verdicts.
+
+Both deciders share one search over the pair graph, whose vertices are
+ordered pairs of length-d words and whose edges are letter pairs with
+equal images. A path that leaves the diagonal along an unequal letter
+pair and returns to it spells a diamond. By the Garden-of-Eden theorem
+(Moore 1962, Myhill 1963) a rule is surjective iff it has no diamond,
+so a breadth-first search over at most m^(2d) pair vertices decides
+surjectivity. A diamond also rules out injectivity; a rule without one
+is non-injective iff some off-diagonal pair vertex lies on a cycle.
+
+Negative verdicts come with finite witnesses that re-validate against
+the rule:
 
   * UnbalancedWord  - a finite word whose preimage count under the
                       finite-word extension map differs from m^d;
@@ -105,55 +116,15 @@ def count_preimages(rule: RuleTable, word: Sequence[int]) -> int:
     return sum(counts)
 
 
-def _successor_masks(rule: RuleTable) -> list[list[int]]:
-    """mask[v][letter] = bitmask of de Bruijn successors of v under edges
-    emitting `letter`. Vertex v encodes a length-d word, most significant
-    letter first, so the window index of (v, a) is simply v*m + a.
-    """
-    m, d, table = rule.m, rule.d, rule.table
-    n = m**d
-    masks = [[0] * m for _ in range(n)]
-    for v in range(n):
-        base = v * m
-        for a in range(m):
-            w = base + a
-            masks[v][table[w]] |= 1 << (w % n)
-    return masks
-
-
 def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> SurjectivityResult:
-    """Exact surjectivity via the subset construction on the de Bruijn
-    graph, starting from the full vertex set: the empty subset is
-    reachable iff some finite word has no preimage iff the rule is not
-    surjective. Negative verdicts carry the shortest unbalanced word.
+    """Exact surjectivity by the Garden-of-Eden theorem (Moore 1962,
+    Myhill 1963): a rule is surjective iff it has no diamond, that is iff
+    no path of the pair graph leaves the diagonal along an unequal letter
+    pair and comes back to it. The breadth-first diamond search visits at
+    most m^(2d) pair vertices. Negative verdicts carry the shortest
+    unbalanced word, found by a separate search bounded by subset_states.
     """
-    masks = _successor_masks(rule)
-    n = rule.m**rule.d
-    full = (1 << n) - 1
-    seen = {full}
-    frontier = deque([full])
-    surjective = True
-    while frontier:
-        subset = frontier.popleft()
-        for letter in range(rule.m):
-            nxt = 0
-            rest = subset
-            while rest:
-                low = rest & -rest
-                nxt |= masks[low.bit_length() - 1][letter]
-                rest ^= low
-            if nxt == 0:
-                surjective = False
-                frontier.clear()
-                break
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > caps.subset_states:
-                    raise CapExceeded(
-                        f"subset construction exceeded {caps.subset_states} states"
-                    )
-                frontier.append(nxt)
-    if surjective:
+    if _shortest_diamond(rule, caps) is None:
         return SurjectivityResult(True, None)
     witness = shortest_unbalanced_word(rule, caps)
     if witness is None:
@@ -200,79 +171,36 @@ def shortest_unbalanced_word(
     return None
 
 
-def _pair_graph(rule: RuleTable, caps: Caps):
-    """Successor lists of the pair graph: vertices are ordered pairs of
-    de Bruijn vertices, edges are letter pairs producing equal outputs.
+def _pair_successors(rule: RuleTable):
+    """Successor function of the pair graph. Vertex u*n + v is the
+    ordered pair of de Bruijn vertices (length-d words, most significant
+    letter first) u and v; an edge (a, b) leaves it when the windows ua
+    and vb have equal images, and enters the pair of their length-d
+    suffixes. successors(pid) lists (a, b, head) with (a, b) ascending,
+    which keeps every search over it deterministic.
     """
-    m, d, table = rule.m, rule.d, rule.table
-    n = m**d
-    total = n * n
-    if total > caps.pair_vertices:
-        raise CapExceeded(f"pair graph needs {total} vertices, cap is {caps.pair_vertices}")
-    succ: list[list[int]] = [[] for _ in range(total)]
-    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(total)]
-    for u in range(n):
-        ubase = u * m
-        for v in range(n):
-            vbase = v * m
-            pid = u * n + v
-            for a in range(m):
-                label = table[ubase + a]
-                unext = (ubase + a) % n
-                for b in range(m):
-                    if table[vbase + b] == label:
-                        head = unext * n + (vbase + b) % n
-                        succ[pid].append(head)
-                        edges[pid].append((a, b, head))
-    return succ, edges
+    m, table = rule.m, rule.table
+    n = m**rule.d
+    # heads[v][label] = [(b, suffix of vb)] for the letters b with f(vb) = label
+    heads: list[list[list[tuple[int, int]]]] = []
+    for v in range(n):
+        by_label: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for b in range(m):
+            w = v * m + b
+            by_label[table[w]].append((b, w % n))
+        heads.append(by_label)
 
+    def successors(pid: int) -> list[tuple[int, int, int]]:
+        u, v = divmod(pid, n)
+        by_label = heads[v]
+        base = u * m
+        return [
+            (a, b, (base + a) % n * n + tail)
+            for a in range(m)
+            for b, tail in by_label[table[base + a]]
+        ]
 
-def _survivors_backward(succ: list[list[int]]) -> list[bool]:
-    """Vertices with an infinite backward path: iteratively delete
-    vertices that no surviving edge enters.
-    """
-    total = len(succ)
-    indeg = [0] * total
-    for tail in range(total):
-        for head in succ[tail]:
-            indeg[head] += 1
-    alive = [True] * total
-    queue = deque(v for v in range(total) if indeg[v] == 0)
-    while queue:
-        v = queue.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for head in succ[v]:
-            indeg[head] -= 1
-            if indeg[head] == 0 and alive[head]:
-                queue.append(head)
-    return alive
-
-
-def _survivors_forward(succ: list[list[int]]) -> list[bool]:
-    """Vertices with an infinite forward path: iteratively delete
-    vertices all of whose surviving edges are gone.
-    """
-    total = len(succ)
-    pred: list[list[int]] = [[] for _ in range(total)]
-    outdeg = [0] * total
-    for tail in range(total):
-        outdeg[tail] = len(succ[tail])
-        for head in succ[tail]:
-            pred[head].append(tail)
-    alive = [True] * total
-    queue = deque(v for v in range(total) if outdeg[v] == 0)
-    while queue:
-        v = queue.popleft()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for tail in pred[v]:
-            outdeg[tail] -= 1
-            if outdeg[tail] == 0 and alive[tail]:
-                queue.append(tail)
-    return alive
+    return successors
 
 
 def _vertex_word(v: int, m: int, d: int) -> tuple[int, ...]:
@@ -283,52 +211,67 @@ def _vertex_word(v: int, m: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _shortest_diamond(rule: RuleTable, edges, n: int) -> Diamond | None:
-    """Multi-source BFS over (pair vertex, saw-unequal-letters flag) from
-    the diagonal back to the diagonal. First hit is the shortest diamond;
-    sorted expansion makes it lexicographically least on (shared prefix,
-    letter pairs) among those.
+def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
+    """Breadth-first search of the pair graph, expanded on demand from
+    the diagonal: out of every diagonal vertex (in order) along an
+    unequal letter pair, then along any edge, until the diagonal is met
+    again. A path that has left the diagonal ends at its first return, so
+    the diagonal vertices in the frontier are exactly the starts and no
+    vertex needs a "has left" flag. The first return is a shortest
+    diamond; sorted expansion makes it lexicographically least on (shared
+    prefix, letter pairs) among those. Every distinct pair vertex reached
+    counts against caps.pair_vertices.
     """
-    starts = [u * n + u for u in range(n)]
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int, int] | None] = {}
-    frontier: deque[tuple[int, int]] = deque()
-    for pid in starts:
-        state = (pid, 0)
-        parents[state] = None
-        frontier.append(state)
-    target: tuple[int, int] | None = None
-    while frontier and target is None:
-        pid, flag = frontier.popleft()
-        for a, b, head in edges[pid]:
-            nflag = flag | (a != b)
-            state = (head, nflag)
-            if state in parents:
+    m, d = rule.m, rule.d
+    n = m**d
+    diagonal = n + 1  # pid u*n + u is a multiple of n + 1
+    if n > caps.pair_vertices:
+        raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
+    successors = _pair_successors(rule)
+    parents: dict[int, tuple[int, int, int]] = {}
+    frontier = deque(range(0, n * n, diagonal))
+    while frontier:
+        pid = frontier.popleft()
+        leaving = pid % diagonal == 0
+        for a, b, head in successors(pid):
+            if leaving and a == b:
                 continue
-            parents[state] = ((pid, flag), a, b)
-            if nflag and head % n == head // n:
-                target = state
-                break
-            frontier.append(state)
-    if target is None:
-        return None
-    letters: list[tuple[int, int]] = []
-    state = target
-    while parents[state] is not None:
-        prev, a, b = parents[state]  # type: ignore[misc]
-        letters.append((a, b))
-        state = prev
-    letters.reverse()
-    prefix = _vertex_word(state[0] // n, rule.m, rule.d)
-    u = prefix + tuple(a for a, _ in letters)
-    v = prefix + tuple(b for _, b in letters)
-    return Diamond(u, v)
+            if head % diagonal == 0:
+                letters = [(a, b)]
+                while pid % diagonal:
+                    pid, a, b = parents[pid]
+                    letters.append((a, b))
+                letters.reverse()
+                prefix = _vertex_word(pid // n, m, d)
+                return Diamond(
+                    prefix + tuple(a for a, _ in letters),
+                    prefix + tuple(b for _, b in letters),
+                )
+            if head in parents:
+                continue
+            parents[head] = (pid, a, b)
+            if n + len(parents) > caps.pair_vertices:
+                raise CapExceeded(
+                    f"pair search exceeded {caps.pair_vertices} vertices"
+                )
+            frontier.append(head)
+    return None
 
 
-def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
+def _pair_graph(rule: RuleTable, caps: Caps) -> list[list[tuple[int, int, int]]]:
+    """The whole pair graph, as the successor list of every vertex."""
+    total = (rule.m**rule.d) ** 2
+    if total > caps.pair_vertices:
+        raise CapExceeded(f"pair graph needs {total} vertices, cap is {caps.pair_vertices}")
+    successors = _pair_successors(rule)
+    return [successors(pid) for pid in range(total)]
+
+
+def _strongly_connected_components(edges: list[list[tuple[int, int, int]]]) -> list[int]:
     """Kosaraju's algorithm, iterative. Returns the component id of every
     vertex; ids are assigned deterministically from the vertex order.
     """
-    total = len(succ)
+    total = len(edges)
     order: list[int] = []
     seen = [False] * total
     for root in range(total):
@@ -338,9 +281,9 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
         seen[root] = True
         while stack:
             v, i = stack.pop()
-            if i < len(succ[v]):
+            if i < len(edges[v]):
                 stack.append((v, i + 1))
-                head = succ[v][i]
+                head = edges[v][i][2]
                 if not seen[head]:
                     seen[head] = True
                     stack.append((head, 0))
@@ -348,7 +291,7 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
                 order.append(v)
     pred: list[list[int]] = [[] for _ in range(total)]
     for tail in range(total):
-        for head in succ[tail]:
+        for _, _, head in edges[tail]:
             pred[head].append(tail)
     component = [-1] * total
     current = 0
@@ -367,14 +310,17 @@ def _strongly_connected_components(succ: list[list[int]]) -> list[int]:
     return component
 
 
-def _offdiagonal_cycle_pair(rule: RuleTable, succ, edges, n: int) -> PeriodicPair | None:
+def _offdiagonal_cycle_pair(
+    rule: RuleTable, edges: list[list[tuple[int, int, int]]]
+) -> PeriodicPair | None:
     """A pair-graph cycle through an off-diagonal vertex. Such a cycle
     necessarily passes an unequal letter pair, so its two letter tracks
     are distinct periodic configurations with equal images. The start is
     the smallest off-diagonal vertex lying on any cycle and the cycle is
     the breadth-first shortest through it, so the result is deterministic.
     """
-    component = _strongly_connected_components(succ)
+    n = rule.m**rule.d
+    component = _strongly_connected_components(edges)
     comp_size: dict[int, int] = {}
     for cid in component:
         comp_size[cid] = comp_size.get(cid, 0) + 1
@@ -382,7 +328,7 @@ def _offdiagonal_cycle_pair(rule: RuleTable, succ, edges, n: int) -> PeriodicPai
     for v0 in range(n * n):
         if v0 % n == v0 // n:
             continue
-        if comp_size[component[v0]] > 1 or v0 in succ[v0]:
+        if comp_size[component[v0]] > 1 or any(head == v0 for _, _, head in edges[v0]):
             start = v0
             break
     if start is None:
@@ -417,35 +363,21 @@ def _offdiagonal_cycle_pair(rule: RuleTable, succ, edges, n: int) -> PeriodicPai
 def decide_injective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> InjectivityResult:
     """Exact injectivity via the pair graph.
 
-    The rule is non-injective iff some unequal-letter edge runs from a
-    vertex with an infinite backward path to one with an infinite forward
-    path (two tracks of one bi-infinite labelled path then disagree at
-    that step while their images agree everywhere). Negative verdicts
-    prefer a Diamond witness and fall back to a PeriodicPair when no
-    diamond exists.
+    A diamond makes a rule non-injective: paste its two words into a
+    common background and the images agree everywhere. So the diamond
+    search runs first, and a diamond it finds is the witness; this covers
+    every non-surjective rule (Moore-Myhill). Without a diamond, two
+    distinct configurations with equal images must differ at infinitely
+    many cells, so their bi-infinite pair-graph path keeps returning to
+    some off-diagonal vertex: the rule is non-injective iff an
+    off-diagonal vertex lies on a cycle of the full pair graph, and that
+    cycle's two tracks are a PeriodicPair witness.
     """
-    n = rule.m**rule.d
-    succ, edges = _pair_graph(rule, caps)
-    backward = _survivors_backward(succ)
-    forward = _survivors_forward(succ)
-    witnessed = False
-    for pid in range(n * n):
-        if not backward[pid]:
-            continue
-        for a, b, head in edges[pid]:
-            if a != b and forward[head]:
-                witnessed = True
-                break
-        if witnessed:
-            break
-    if not witnessed:
-        return InjectivityResult(True, None)
-    witness: Diamond | PeriodicPair | None = _shortest_diamond(rule, edges, n)
-    if witness is None:
-        witness = _offdiagonal_cycle_pair(rule, succ, edges, n)
-    if witness is None:
-        raise AssertionError("unreachable: non-injective rules have a witness")
-    return InjectivityResult(False, witness)
+    diamond = _shortest_diamond(rule, caps)
+    if diamond is not None:
+        return InjectivityResult(False, diamond)
+    pair = _offdiagonal_cycle_pair(rule, _pair_graph(rule, caps))
+    return InjectivityResult(pair is None, pair)
 
 
 @dataclass(frozen=True)

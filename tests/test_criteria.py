@@ -198,9 +198,10 @@ def test_cubic_monomial_mod4_flags_four_criteria():
 
 # --- prime-side soundness properties -----------------------------------------------
 
-# The subset walk's state space is 2^(p^d), so a drawn rule can be far
-# too expensive to decide even though the property holds. Tight budget,
-# and a draw that exceeds it is discarded, not failed.
+# Surjective verdicts come from the polynomial diamond search, but a
+# negative verdict also needs the shortest unbalanced word, whose
+# count-vector search can be far too expensive on a drawn rule. Tight
+# budget, and a draw that exceeds it is discarded, not failed.
 DRAW_CAPS = Caps(subset_states=1 << 14)
 
 

@@ -6,7 +6,8 @@ Soundness is tested in both directions: every negative verdict must
 carry a witness that revalidates against the rule from scratch, and
 positive verdicts must survive independent bounded brute force. The
 exhaustive decider-vs-oracle equivalences over complete rule spaces live
-in test_acceptance.
+in test_acceptance, except those against the subset-construction oracle
+(subset_oracle.py), which live here.
 """
 
 import dataclasses
@@ -37,6 +38,7 @@ from ca_verify.rule import (
     sum_rule,
 )
 from ca_verify.zmod import units
+from subset_oracle import subset_surjective
 
 
 def su(src):
@@ -142,8 +144,10 @@ def test_middle_permutivity_does_not_give_surjectivity():
 @given(end_permutive_rules())
 def test_end_permutivity_gives_surjectivity(rule):
     """A bijective dependence at either outermost window position forces
-    every word to be reachable. Drawn rules whose subset walk would blow
-    the tight budget are discarded, not failed.
+    every word to be reachable. The verdict comes from the polynomial
+    diamond search; the tight subset_states budget bounds only the
+    balance search behind a negative verdict, and a draw that exceeds it
+    is discarded, not failed.
     """
     assert is_permutive_at(rule, 1) or is_permutive_at(rule, rule.nvars)
     try:
@@ -165,6 +169,17 @@ def test_surjectivity_verdicts_are_sound(rule):
         assert res.witness.validate(rule)
         assert count_preimages(rule, res.witness.word) == res.witness.count
         assert res.witness.count != rule.m**rule.d
+
+
+def test_surjectivity_matches_subset_oracle_exhaustive_m3_d1():
+    for code in range(3**9):
+        rule = rule_from_code(3, 1, code)
+        assert decide_surjective(rule).surjective == subset_surjective(rule), f"code {code}"
+
+
+@given(small_rules())
+def test_surjectivity_matches_subset_oracle(rule):
+    assert decide_surjective(rule).surjective == subset_surjective(rule)
 
 
 def test_unbalanced_word_validate_rejects_wrong_count():
@@ -252,6 +267,19 @@ def test_injectivity_verdicts_are_sound(rule):
     else:
         assert res.witness is not None
         assert res.witness.validate(rule)
+
+
+def test_non_surjective_rules_get_diamond_witnesses_exhaustive_m3_d1():
+    """Moore-Myhill: every non-surjective rule has a diamond, and the
+    injectivity decider prefers it over a periodic pair.
+    """
+    for code in range(3**9):
+        rule = rule_from_code(3, 1, code)
+        if subset_surjective(rule):
+            continue
+        witness = decide_injective(rule).witness
+        assert isinstance(witness, Diamond), f"code {code}"
+        assert witness.validate(rule), f"code {code}"
 
 
 @given(small_rules())
@@ -343,12 +371,20 @@ def test_injective_rules_are_not_end_bipermutive(rule):
 
 
 def test_deciders_respect_caps():
-    # the subset cap counts states actually visited, so use a rule whose
-    # walk leaves the initial full vertex set
-    rule = su("m=3; d=1; f=x1^2+x2^2")
+    # the balance search counts states actually visited, so use a rule
+    # whose shortest unbalanced word is longer than one letter
+    rule = su("m=3; d=2; f=x1^2+x2+x3^2")
     tight = dataclasses.replace(DEFAULT_CAPS, subset_states=2)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="balance search exceeded 2 states"):
         decide_surjective(rule, tight)
+    rule = su("m=3; d=1; f=x1^2+x2^2")
     tighter = dataclasses.replace(DEFAULT_CAPS, pair_vertices=2)
     with pytest.raises(CapExceeded):
+        decide_surjective(rule, tighter)
+    with pytest.raises(CapExceeded):
         decide_injective(rule, tighter)
+    # the diamond search counts the pair vertices it reaches past the diagonal
+    surjective = su("m=3; d=1; f=x1+x2^2")
+    with pytest.raises(CapExceeded, match="pair search exceeded 8 vertices"):
+        decide_surjective(surjective, dataclasses.replace(DEFAULT_CAPS, pair_vertices=8))
+    assert decide_surjective(surjective, dataclasses.replace(DEFAULT_CAPS, pair_vertices=9)).surjective
