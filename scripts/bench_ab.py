@@ -16,7 +16,17 @@ does not favour one side. For every metric of the
 runs' final JSON line it prints the median and quartile spread
 (IQR / median) of each side, the median and quartiles of the per-pair
 ratios candidate / base, and in how many pairs the candidate was
-better. The raw runs and the summary go to --out as JSON. Workloads,
+better. For every end-to-end metric it also prints two gate verdicts
+against that metric's bound in BENCHMARK.json:
+
+  * regression: "worse" when the candidate's median is worse than the
+    base's by more than the bound (a share of the base median),
+    "unresolved" when either side's spread exceeds the bound, else
+    "within bound";
+  * gain: whether the candidate won at least 9 of every 10 pairs and its
+    median is better than the base's by more than the base's IQR.
+
+The raw runs and the summary go to --out as JSON. Workloads,
 checks and bounds are those of the checkout's BENCHMARK.json, unchanged.
 
 Example:
@@ -74,16 +84,24 @@ def spread(values: list[float]) -> float:
     return (q3 - q1) / q2 if q2 else 0.0
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+def regression(base: list[float], cand: list[float], sign: int, bound: float) -> str:
+    if max(spread(base), spread(cand)) > bound:
+        return "unresolved"
+    bmed = statistics.median(base)
+    worse_by = sign * (bmed - statistics.median(cand)) / bmed if bmed else 0.0
+    return "worse" if worse_by > bound else "within bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     out = {}
     for name, entry in pairs[0]["base"]["metrics"].items():
         base = [p["base"]["metrics"][name]["value"] for p in pairs]
         cand = [p["candidate"]["metrics"][name]["value"] for p in pairs]
         ratios = [c / b for b, c in zip(base, cand) if b]
         direction = better.get(name)
+        sign = 1 if direction == "higher" else -1
         wins = None
         if direction is not None:
-            sign = 1 if direction == "higher" else -1
             wins = sum(sign * (c - b) > 0 for b, c in zip(base, cand))
         bq1, bmed, bq3 = quartiles(base)
         out[name] = {
@@ -98,6 +116,13 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "candidate_better_pairs": wins,
             "median_gap_exceeds_base_iqr": abs(statistics.median(cand) - bmed) > bq3 - bq1,
         }
+        if name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["regression"] = regression(base, cand, sign, bounds[name])
+            out[name]["gain_holds"] = (
+                10 * wins >= 9 * len(pairs)
+                and sign * (statistics.median(cand) - bmed) > bq3 - bq1
+            )
     return out
 
 
@@ -114,9 +139,13 @@ def report(workload: str, pairs: list[dict], summary: dict) -> None:
         wins = "" if s["candidate_better_pairs"] is None else (
             f" better in {s['candidate_better_pairs']}/{len(pairs)}"
         )
+        gates = "" if "bound" not in s else (
+            f"; bound {s['bound']:g}: {s['regression']}, "
+            f"gain {'holds' if s['gain_holds'] else 'does not hold'}"
+        )
         print(f"{name} ({s['unit']}): base {s['base_median']:.6g} "
               f"(spread {s['base_spread']:.2f}), candidate {s['candidate_median']:.6g} "
-              f"(spread {s['candidate_spread']:.2f}), ratio {ratio}{wins}")
+              f"(spread {s['candidate_spread']:.2f}), ratio {ratio}{wins}{gates}")
 
 
 def main(argv=None) -> int:
@@ -134,6 +163,7 @@ def main(argv=None) -> int:
         benchmark = json.load(fh)
     better = {m["name"]: m["better"]
               for m in benchmark["end_to_end"] + benchmark["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
     base_rev = git("rev-parse", args.base)
@@ -158,7 +188,7 @@ def main(argv=None) -> int:
                     pair[side] = bench(tree, workload, seed, seconds, args.trace)
                     print(f"{workload} seed {seed} {side} done", file=sys.stderr, flush=True)
                 pairs.append(pair)
-            summary = summarize(pairs, better)
+            summary = summarize(pairs, better, bounds)
             report(workload, pairs, summary)
             result["workloads"][workload] = {"summary": summary, "runs": pairs}
             with open(args.out, "w", encoding="utf-8") as fh:

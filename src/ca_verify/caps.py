@@ -22,8 +22,8 @@ class CapExceeded(RuntimeError):
 class Caps:
     table_entries: int = 1 << 24   # rule table size m**(d+1)
     subset_states: int = 1 << 20   # count vectors visited by the balance search
-    pair_vertices: int = 1 << 24   # pair vertices reached by the diamond search; full graph m**(2d)
-    poly_search: int = 1 << 20     # coefficient tuples enumerated by representability_search
+    pair_vertices: int = 1 << 24   # pair vertices reached by the diamond search; cycle search refused above m**(2d)
+    poly_search: int = 1 << 20     # representability_search refused above m**kempner(m) tuples
     family_rules: int = 1 << 20    # rules enumerated by a single family run
 
 

@@ -565,7 +565,7 @@ def analyze(
     cls = classify(rule)
     permutive = {j: is_permutive_at(rule, j) for j in range(1, rule.nvars + 1)}
     surjective = decide_surjective(rule, caps)
-    injective = decide_injective(rule, caps)
+    injective = decide_injective(rule, caps, surjective)
     verdicts = run_criteria(rule, cls, raw_exponents)
     discrepancies = find_discrepancies(rule, verdicts, surjective, injective, permutive)
     report = {
@@ -835,7 +835,7 @@ def audit_row(
     cls = classify(rule)
     permutive = {j: is_permutive_at(rule, j) for j in range(1, rule.nvars + 1)}
     surjective = decide_surjective(rule, caps)
-    injective = decide_injective(rule, caps)
+    injective = decide_injective(rule, caps, surjective)
     verdicts = run_criteria(rule, cls, raw_exponents)
     discrepancies = find_discrepancies(rule, verdicts, surjective, injective, permutive)
     return {

@@ -4,14 +4,17 @@ Everything here works on the full rule table, with no algebraic
 assumptions; the criteria module audits its closed-form predictions
 against these verdicts.
 
-Both deciders share one search over the pair graph, whose vertices are
-ordered pairs of length-d words and whose edges are letter pairs with
-equal images. A path that leaves the diagonal along an unequal letter
-pair and returns to it spells a diamond. By the Garden-of-Eden theorem
-(Moore 1962, Myhill 1963) a rule is surjective iff it has no diamond,
-so a breadth-first search over at most m^(2d) pair vertices decides
-surjectivity. A diamond also rules out injectivity; a rule without one
-is non-injective iff some off-diagonal pair vertex lies on a cycle.
+Both deciders rest on the pair graph, whose vertices are ordered pairs
+of length-d words and whose edges are letter pairs with equal images
+(Amoroso & Patt 1972). A path that leaves the diagonal along an unequal
+letter pair and returns to it spells a diamond. By the Garden-of-Eden
+theorem (Moore 1962, Myhill 1963) a rule is surjective iff it has no
+diamond, so one breadth-first search over at most m^(2d) pair vertices
+decides surjectivity. A diamond also rules out injectivity; a rule
+without one is non-injective iff some off-diagonal pair vertex lies on a
+cycle. Such a cycle never meets the diagonal, and the graph is symmetric
+under swapping its two tracks, so one cycle search over the unordered
+off-diagonal pairs settles it.
 
 Negative verdicts come with finite witnesses that re-validate against
 the rule:
@@ -27,8 +30,8 @@ the rule:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.rule import CyclicWord, RuleTable, SeparationClass, is_permutive_at
@@ -82,6 +85,8 @@ class PeriodicPair:
 class SurjectivityResult:
     surjective: bool
     witness: UnbalancedWord | None
+    # the diamond behind a negative verdict, for decide_injective to reuse
+    diamond: Diamond | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -124,12 +129,13 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
     most m^(2d) pair vertices. Negative verdicts carry the shortest
     unbalanced word, found by a separate search bounded by subset_states.
     """
-    if _shortest_diamond(rule, caps) is None:
+    diamond = _shortest_diamond(rule, caps)
+    if diamond is None:
         return SurjectivityResult(True, None)
     witness = shortest_unbalanced_word(rule, caps)
     if witness is None:
         raise AssertionError("unreachable: non-surjective rules are unbalanced")
-    return SurjectivityResult(False, witness)
+    return SurjectivityResult(False, witness, diamond)
 
 
 def shortest_unbalanced_word(
@@ -171,13 +177,15 @@ def shortest_unbalanced_word(
     return None
 
 
-def _pair_successors(rule: RuleTable):
+def _pair_successors(rule: RuleTable, unordered: bool = False):
     """Successor function of the pair graph. Vertex u*n + v is the
     ordered pair of de Bruijn vertices (length-d words, most significant
     letter first) u and v; an edge (a, b) leaves it when the windows ua
     and vb have equal images, and enters the pair of their length-d
     suffixes. successors(pid) lists (a, b, head) with (a, b) ascending,
-    which keeps every search over it deterministic.
+    which keeps every search over it deterministic. With unordered=True,
+    quotient(u*n + v), u < v, is the set of keys x*n + y, x < y, of the
+    off-diagonal heads (x, y) or (y, x) of (u, v): the swap quotient.
     """
     m, table = rule.m, rule.table
     n = m**rule.d
@@ -200,7 +208,18 @@ def _pair_successors(rule: RuleTable):
             for b, tail in by_label[table[base + a]]
         ]
 
-    return successors
+    def quotient(key: int) -> set[int]:
+        u, v = divmod(key, n)
+        by_label = heads[v]
+        out = set()
+        for w in range(u * m, u * m + m):
+            x = w % n
+            for _, y in by_label[table[w]]:
+                if x != y:
+                    out.add(x * n + y if x < y else y * n + x)
+        return out
+
+    return quotient if unordered else successors
 
 
 def _vertex_word(v: int, m: int, d: int) -> tuple[int, ...]:
@@ -241,12 +260,9 @@ def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
                 while pid % diagonal:
                     pid, a, b = parents[pid]
                     letters.append((a, b))
-                letters.reverse()
+                u, v = zip(*reversed(letters))
                 prefix = _vertex_word(pid // n, m, d)
-                return Diamond(
-                    prefix + tuple(a for a, _ in letters),
-                    prefix + tuple(b for _, b in letters),
-                )
+                return Diamond(prefix + u, prefix + v)
             if head in parents:
                 continue
             parents[head] = (pid, a, b)
@@ -258,125 +274,107 @@ def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
     return None
 
 
-def _pair_graph(rule: RuleTable, caps: Caps) -> list[list[tuple[int, int, int]]]:
-    """The whole pair graph, as the successor list of every vertex."""
-    total = (rule.m**rule.d) ** 2
+def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
+    """PeriodicPair of a rule without a diamond, None if it is injective.
+    Tarjan's algorithm on the swap quotient (see decide_injective) finds
+    `start`, the smallest key u*n + v, u < v, on a quotient cycle, which
+    is the smallest off-diagonal pair vertex on any cycle: its mirror has
+    the larger key. It stops at the first root above a start found, as
+    every component reachable from a root is emitted before the next.
+    The witness is the breadth-first shortest cycle through start.
+    """
+    m, n = rule.m, rule.m**rule.d
+    total = n * n
     if total > caps.pair_vertices:
         raise CapExceeded(f"pair graph needs {total} vertices, cap is {caps.pair_vertices}")
-    successors = _pair_successors(rule)
-    return [successors(pid) for pid in range(total)]
-
-
-def _strongly_connected_components(edges: list[list[tuple[int, int, int]]]) -> list[int]:
-    """Kosaraju's algorithm, iterative. Returns the component id of every
-    vertex; ids are assigned deterministically from the vertex order.
-    """
-    total = len(edges)
-    order: list[int] = []
-    seen = [False] * total
-    for root in range(total):
-        if seen[root]:
-            continue
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen[root] = True
-        while stack:
-            v, i = stack.pop()
-            if i < len(edges[v]):
-                stack.append((v, i + 1))
-                head = edges[v][i][2]
-                if not seen[head]:
-                    seen[head] = True
-                    stack.append((head, 0))
-            else:
-                order.append(v)
-    pred: list[list[int]] = [[] for _ in range(total)]
-    for tail in range(total):
-        for _, _, head in edges[tail]:
-            pred[head].append(tail)
-    component = [-1] * total
-    current = 0
-    for v in reversed(order):
-        if component[v] != -1:
-            continue
-        component[v] = current
-        stack2 = [v]
-        while stack2:
-            w = stack2.pop()
-            for tail in pred[w]:
-                if component[tail] == -1:
-                    component[tail] = current
-                    stack2.append(tail)
-        current += 1
-    return component
-
-
-def _offdiagonal_cycle_pair(
-    rule: RuleTable, edges: list[list[tuple[int, int, int]]]
-) -> PeriodicPair | None:
-    """A pair-graph cycle through an off-diagonal vertex. Such a cycle
-    necessarily passes an unequal letter pair, so its two letter tracks
-    are distinct periodic configurations with equal images. The start is
-    the smallest off-diagonal vertex lying on any cycle and the cycle is
-    the breadth-first shortest through it, so the result is deterministic.
-    """
-    n = rule.m**rule.d
-    component = _strongly_connected_components(edges)
-    comp_size: dict[int, int] = {}
-    for cid in component:
-        comp_size[cid] = comp_size.get(cid, 0) + 1
-    start = None
-    for v0 in range(n * n):
-        if v0 % n == v0 // n:
-            continue
-        if comp_size[component[v0]] > 1 or any(head == v0 for _, _, head in edges[v0]):
-            start = v0
+    quotient = _pair_successors(rule, unordered=True)
+    order, low = [0] * total, [0] * total  # depth-first index, total once finished
+    stack: list[int] = []
+    count, start = 0, total  # total: no start yet
+    for root in (k for u in range(n) for k in range(u * n + u + 1, u * n + n)):
+        if start < root:
             break
-    if start is None:
+        if order[root]:
+            continue
+        calls: list[tuple[int, set[int], Iterator[int], int]] = []
+        head = root
+        while head is not None or calls:
+            if head is not None:  # enter it
+                count += 1
+                order[head] = low[head] = count
+                heads = quotient(head)
+                calls.append((head, heads, iter(heads), len(stack)))
+                stack.append(head)
+            key, heads, pending, pos = calls[-1]
+            for head in pending:
+                if not order[head]:
+                    break
+                if order[head] < low[key]:
+                    low[key] = order[head]
+            else:
+                head = None
+                calls.pop()
+                if calls and low[key] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[key]
+                if low[key] == order[key]:
+                    component = stack[pos:]
+                    del stack[pos:]
+                    for w in component:
+                        order[w] = total
+                    if len(component) > 1 or key in heads:
+                        start = min(start, *component)
+    if start == total:
         return None
-    cid = component[start]
-    parents: dict[int, tuple[int, int, int] | None] = {start: None}
+    successors = _pair_successors(rule)
+    parents: dict[int, tuple[int, int, int]] = {}
     frontier = deque([start])
-    letters: list[tuple[int, int]] | None = None
-    while frontier and letters is None:
+    while frontier:
         pid = frontier.popleft()
-        for a, b, head in edges[pid]:
+        for a, b, head in successors(pid):
             if head == start:
-                chain = [(a, b)]
-                state = pid
-                while parents[state] is not None:
-                    prev, pa, pb = parents[state]  # type: ignore[misc]
-                    chain.append((pa, pb))
-                    state = prev
-                chain.reverse()
-                letters = chain
-                break
-            if component[head] == cid and head not in parents:
+                letters = [(a, b)]
+                while pid != start:
+                    pid, a, b = parents[pid]
+                    letters.append((a, b))
+                x, y = zip(*reversed(letters))
+                return PeriodicPair(CyclicWord(m, x), CyclicWord(m, y))
+            if head not in parents:
                 parents[head] = (pid, a, b)
                 frontier.append(head)
-    if letters is None:
-        raise AssertionError("unreachable: SCC vertices lie on cycles")
-    x = CyclicWord(rule.m, tuple(a for a, _ in letters))
-    y = CyclicWord(rule.m, tuple(b for _, b in letters))
-    return PeriodicPair(x, y)
+    raise AssertionError("unreachable: start lies on a cycle")
 
 
-def decide_injective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> InjectivityResult:
+def decide_injective(
+    rule: RuleTable, caps: Caps = DEFAULT_CAPS, surjectivity: SurjectivityResult | None = None
+) -> InjectivityResult:
     """Exact injectivity via the pair graph.
 
     A diamond makes a rule non-injective: paste its two words into a
     common background and the images agree everywhere. So the diamond
     search runs first, and a diamond it finds is the witness; this covers
-    every non-surjective rule (Moore-Myhill). Without a diamond, two
-    distinct configurations with equal images must differ at infinitely
-    many cells, so their bi-infinite pair-graph path keeps returning to
-    some off-diagonal vertex: the rule is non-injective iff an
-    off-diagonal vertex lies on a cycle of the full pair graph, and that
-    cycle's two tracks are a PeriodicPair witness.
+    every non-surjective rule (Moore-Myhill). A `surjectivity` result of
+    decide_surjective on the same rule and caps hands its search over.
+
+    Without a diamond, two distinct configurations with equal images
+    differ at infinitely many cells, so their bi-infinite pair-graph path
+    keeps returning to some off-diagonal vertex: the rule is
+    non-injective iff an off-diagonal vertex lies on a cycle, whose two
+    tracks are a PeriodicPair. Such a cycle never touches the diagonal,
+    since leaving it and coming back spells a diamond, so diagonal
+    vertices are dropped. The graph is symmetric under the swap
+    (u, v) <-> (v, u), (a, b) <-> (b, a), and (u, v) lies on a cycle iff
+    {u, v} lies on a cycle of the quotient over the n(n-1)/2 pairs u < v:
+    a quotient cycle lifts to a path from (u, v) to (u, v) or to (v, u),
+    and the mirror image of that path closes the cycle. So a quotient
+    self-loop counts, even one whose only edge is (u, v) -> (v, u).
     """
-    diamond = _shortest_diamond(rule, caps)
+    if surjectivity is not None and (surjectivity.surjective or surjectivity.diamond):
+        diamond = surjectivity.diamond
+    else:
+        diamond = _shortest_diamond(rule, caps)
     if diamond is not None:
         return InjectivityResult(False, diamond)
-    pair = _offdiagonal_cycle_pair(rule, _pair_graph(rule, caps))
+    pair = _offdiagonal_cycle_pair(rule, caps)
     return InjectivityResult(pair is None, pair)
 
 

@@ -211,9 +211,25 @@ def representability_search(
 
     Degree kempner(m) - 1 suffices: x(x-1)...(x-k+1) vanishes identically
     on Z_m exactly when m | k!, so higher powers add no new functions.
-    The search enumerates m**kempner(m) candidate tuples and refuses when
-    that exceeds caps.poly_search.
+
+    The verdict comes first, in O(m^2). Every polynomial is an integer
+    combination of the falling factorials x(x-1)...(x-j+1), whose value
+    at x = i is i!/(i-j)! for j <= i and 0 for j > i. So the table f is
+    polynomial iff, for j = 0, ..., m-1 in turn,
+
+        b_j * j! = f(j) - sum_{i<j} b_i * j!/(j-i)!   (mod m)
+
+    has a solution b_j, that is iff gcd(j!, m) divides the right-hand
+    side. Two solutions differ by a multiple of m/gcd(j!, m), and later
+    equations multiply b_j by multiples of j!, so which one is taken does
+    not matter. A polynomial table then fixes c_0 = f(0) and, from x = 1,
+    c_{k-1} = f(1) - c_0 - ... - c_{k-2}; the search enumerates the
+    m**(k-2) middle tuples in order, so its first hit is the
+    lexicographically first polynomial. It refuses, before either step,
+    when the full tuple space m**kempner(m) exceeds caps.poly_search.
     """
+    from math import gcd
+
     check_modulus(m)
     if len(values) != m:
         raise ValueError(f"expected {m} values, got {len(values)}")
@@ -225,20 +241,26 @@ def representability_search(
             f"cap is {caps.poly_search}"
         )
     target = tuple(v % m for v in values)
-    xs = range(m)
-    powers = [[pow(x, e, m) for e in range(k)] for x in xs]
-    for coeffs in itertools.product(range(m), repeat=k):
-        for x in xs:
-            px = powers[x]
-            acc = 0
-            for c, xe in zip(coeffs, px):
-                if c:
-                    acc += c * xe
-            if acc % m != target[x]:
-                break
-        else:
+    falling: list[int] = []  # b_0, b_1, ... in the falling-factorial basis
+    for j in range(m):
+        rhs, factor = target[j], 1  # factor = j!/(j-i)! for the current i
+        for i, b in enumerate(falling):
+            rhs -= b * factor
+            factor = factor * (j - i) % m
+        g = gcd(factor, m)  # factor is now j! mod m
+        if rhs % g:
+            return None
+        falling.append(rhs // g * pow(factor // g, -1, m // g) % m if g < m else 0)
+    powers = [[pow(x, e, m) for e in range(k)] for x in range(2, m)]
+    c0 = target[0]
+    for middle in itertools.product(range(m), repeat=k - 2):
+        coeffs = (c0, *middle, (target[1] - c0 - sum(middle)) % m)
+        if all(
+            sum(c * xe for c, xe in zip(coeffs, px)) % m == target[x]
+            for x, px in enumerate(powers, start=2)
+        ):
             return Poly.make(m, coeffs)
-    return None
+    raise AssertionError("unreachable: a polynomial table has a polynomial of degree < k")
 
 
 def is_permutation_map(values: Sequence[int], m: int, nvars: int) -> bool:

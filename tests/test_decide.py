@@ -7,14 +7,15 @@ carry a witness that revalidates against the rule from scratch, and
 positive verdicts must survive independent bounded brute force. The
 exhaustive decider-vs-oracle equivalences over complete rule spaces live
 in test_acceptance, except those against the subset-construction oracle
-(subset_oracle.py), which live here.
+(subset_oracle.py) and the full pair-graph oracle (pair_graph_oracle.py),
+which live here.
 """
 
 import dataclasses
 import itertools
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.decide import (
@@ -38,6 +39,7 @@ from ca_verify.rule import (
     sum_rule,
 )
 from ca_verify.zmod import units
+from pair_graph_oracle import pair_graph_injective
 from subset_oracle import subset_surjective
 
 
@@ -146,15 +148,11 @@ def test_end_permutivity_gives_surjectivity(rule):
     """A bijective dependence at either outermost window position forces
     every word to be reachable. The verdict comes from the polynomial
     diamond search; the tight subset_states budget bounds only the
-    balance search behind a negative verdict, and a draw that exceeds it
-    is discarded, not failed.
+    balance search, which runs behind a negative verdict, so exceeding
+    it fails the test like the negative verdict itself.
     """
     assert is_permutive_at(rule, 1) or is_permutive_at(rule, rule.nvars)
-    try:
-        surjective = decide_surjective(rule, Caps(subset_states=1 << 14)).surjective
-    except CapExceeded:
-        assume(False)
-    assert surjective
+    assert decide_surjective(rule, Caps(subset_states=1 << 14)).surjective
 
 
 @given(small_rules())
@@ -267,6 +265,28 @@ def test_injectivity_verdicts_are_sound(rule):
     else:
         assert res.witness is not None
         assert res.witness.validate(rule)
+
+
+def assert_injectivity_matches_pair_graph_oracle(rule, label=""):
+    expected = repr(pair_graph_injective(rule))
+    assert repr(decide_injective(rule)) == expected, label
+    shared = decide_injective(rule, surjectivity=decide_surjective(rule))
+    assert repr(shared) == expected, label
+
+
+def test_injectivity_matches_pair_graph_oracle_exhaustive():
+    """Verdict and witness, with and without a handed-over diamond search,
+    on every rule with m=3, d=1 and with m=2, d=2.
+    """
+    for m, d in ((3, 1), (2, 2)):
+        for code in range(m ** (m ** (d + 1))):
+            rule = rule_from_code(m, d, code)
+            assert_injectivity_matches_pair_graph_oracle(rule, f"m={m} d={d} code {code}")
+
+
+@given(small_rules())
+def test_injectivity_matches_pair_graph_oracle(rule):
+    assert_injectivity_matches_pair_graph_oracle(rule)
 
 
 def test_non_surjective_rules_get_diamond_witnesses_exhaustive_m3_d1():

@@ -27,6 +27,7 @@ from ca_verify.poly import (
     representability_search,
 )
 from ca_verify.zmod import kempner
+from representability_oracle import enumerated_representability
 
 primes = st.sampled_from((2, 3, 5, 7))
 
@@ -105,6 +106,24 @@ def test_representability_search_is_sound(m, data):
     else:
         assert f.table() == values
         assert f.degree < kempner(m)
+
+
+def test_representability_search_matches_enumeration_exhaustive_z4():
+    for values in itertools.product(range(4), repeat=4):
+        assert representability_search(values, 4) == enumerated_representability(values, 4)
+
+
+@given(st.sampled_from((6, 8)), st.data())
+def test_representability_search_matches_enumeration(m, data):
+    """Half the draws are polynomial tables, which uniform draws over
+    Z_6 and Z_8 rarely are.
+    """
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=6))
+        values = Poly.make(m, coeffs).table()
+    else:
+        values = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for _ in range(m))
+    assert representability_search(values, m) == enumerated_representability(values, m)
 
 
 def test_frobenius_reduce():
