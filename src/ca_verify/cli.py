@@ -22,6 +22,7 @@ from .criteria import (
     audit,
     conjecture_scan,
     parse_family,
+    rule_to_dict,
     sufficiency_violation_on_prime,
     witness_to_dict,
 )
@@ -436,12 +437,7 @@ def cmd_witness(ns, caps: Caps, argv: Sequence[str]) -> int:
     witness = witness_to_dict(result.witness)
     validated = result.witness.validate(rule) if result.witness else None
     report = {
-        "rule": {
-            "m": rule.m,
-            "d": rule.d,
-            "expression": expr.source if expr else None,
-            "table": list(rule.table),
-        },
+        "rule": rule_to_dict(rule, expr),
         "injective": result.injective,
         "witness": witness,
         "validated": validated,

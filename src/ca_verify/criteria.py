@@ -9,9 +9,14 @@ are evaluated twice, once on the exponents as written in the rule source
 value follows the raw reading and falls back to canonical when the rule
 came from a bare table.
 
-Audits re-derive every prediction with the exact deciders and brute-force
-permutivity, and report disagreements as discrepancy records carrying the
-oracle witness. Discrepancies are never auto-resolved.
+Every rule is evaluated once, along one path (_evaluate): classify,
+brute-force permutivity, both exact deciders, the criterion battery, and
+the disagreements between its predictions and those oracles, as
+discrepancy records carrying the oracle witness. Discrepancies are never
+auto-resolved. `analyze` renders the evaluation as the full report and
+`audit_row` as the slim audit row. Audits and conjecture scans map one
+worker over the validated rules of a family, serially or on a process
+pool, in enumeration order.
 """
 
 from __future__ import annotations
@@ -20,15 +25,18 @@ import itertools
 import multiprocessing
 import random
 import time
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import gcd
 
 from .caps import Caps, DEFAULT_CAPS, CapExceeded
 from .decide import (
     BipermutiveCollision,
     Diamond,
+    InjectivityResult,
     PeriodicPair,
+    SurjectivityResult,
     UnbalancedWord,
     decide_injective,
     decide_surjective,
@@ -97,6 +105,9 @@ class CriterionVerdict:
         }
 
 
+# Verdicts are frozen and few distinct ones exist (criterion, position,
+# note or flags), so each is built once per process and then shared.
+@lru_cache(maxsize=None)
 def _na(criterion: str, position: int | None, note: str) -> CriterionVerdict:
     return CriterionVerdict(criterion, position, NOT_APPLICABLE, note=note)
 
@@ -105,6 +116,7 @@ def _verdict(flag: bool) -> str:
     return HOLDS if flag else FAILS
 
 
+@lru_cache(maxsize=None)
 def _two_readings(
     criterion: str,
     position: int | None,
@@ -131,6 +143,39 @@ def _raw_q(
     return canonical_q
 
 
+def _coprime_readings(
+    cls: SeparationClass,
+    positions: Iterable[int],
+    phi: int,
+    raw_exponents: Mapping[int, tuple[int, int]] | None,
+) -> tuple[bool, bool]:
+    """Whether the exponent at some of the (separated) positions is
+    coprime to phi, read raw and canonically; (False, False) for none.
+    """
+    raw_ok = canonical_ok = False
+    for j in positions:
+        q = cls.component_at(j).q
+        raw_ok = raw_ok or gcd(_raw_q(raw_exponents, j, q), phi) == 1
+        canonical_ok = canonical_ok or gcd(q, phi) == 1
+    return raw_ok, canonical_ok
+
+
+def _outer_separated_gate(
+    criterion: str, rule: RuleTable, cls: SeparationClass
+) -> CriterionVerdict | None:
+    """NotApplicable for a rule outside the hypotheses shared by the
+    outer-separated criteria (modulus at least 3, some essential
+    position, separated at both outer ones); None inside them.
+    """
+    if rule.m < 3:
+        return _na(criterion, None, "modulus must be at least 3")
+    if not cls.essential:
+        return _na(criterion, None, "no essential positions")
+    if not cls.lr_separated:
+        return _na(criterion, None, "not separated at the outer essential positions")
+    return None
+
+
 # --- permutivity criteria -----------------------------------------------------
 
 
@@ -155,10 +200,8 @@ def criterion_totient_permutivity(
         return _na(TOTIENT_PERMUTIVITY, j, "not separated at this position")
     if gcd(comp.a, rule.m) != 1:
         return _na(TOTIENT_PERMUTIVITY, j, "coefficient is not a unit")
-    phi = totient(rule.m)
-    raw_ok = gcd(_raw_q(raw_exponents, j, comp.q), phi) == 1
-    canonical_ok = gcd(comp.q, phi) == 1
-    return _two_readings(TOTIENT_PERMUTIVITY, j, raw_ok, canonical_ok)
+    readings = _coprime_readings(cls, (j,), totient(rule.m), raw_exponents)
+    return _two_readings(TOTIENT_PERMUTIVITY, j, *readings)
 
 
 def criterion_hermite_permutivity(
@@ -206,25 +249,11 @@ def criterion_surjectivity_sufficient(
     surjectivity, for rules separated at both outer essential positions
     over a modulus of at least 3. Sufficient only; Fails predicts nothing.
     """
-    if rule.m < 3:
-        return _na(SURJECTIVITY_SUFFICIENT, None, "modulus must be at least 3")
-    if not cls.essential:
-        return _na(SURJECTIVITY_SUFFICIENT, None, "no essential positions")
-    if not cls.lr_separated:
-        return _na(
-            SURJECTIVITY_SUFFICIENT,
-            None,
-            "not separated at the outer essential positions",
-        )
-    phi = totient(rule.m)
-    left = cls.component_at(cls.ell)
-    right = cls.component_at(cls.r)
-    raw_ok = (
-        gcd(_raw_q(raw_exponents, cls.ell, left.q), phi) == 1
-        or gcd(_raw_q(raw_exponents, cls.r, right.q), phi) == 1
-    )
-    canonical_ok = gcd(left.q, phi) == 1 or gcd(right.q, phi) == 1
-    return _two_readings(SURJECTIVITY_SUFFICIENT, None, raw_ok, canonical_ok)
+    gate = _outer_separated_gate(SURJECTIVITY_SUFFICIENT, rule, cls)
+    if gate is not None:
+        return gate
+    readings = _coprime_readings(cls, (cls.ell, cls.r), totient(rule.m), raw_exponents)
+    return _two_readings(SURJECTIVITY_SUFFICIENT, None, *readings)
 
 
 def criterion_pp_interior(
@@ -242,14 +271,9 @@ def criterion_pp_interior(
     p = rule.m
     if not is_prime(p):
         return _na(PP_INTERIOR, None, "modulus is not prime")
-    if p < 3:
-        return _na(PP_INTERIOR, None, "modulus must be at least 3")
-    if not cls.essential:
-        return _na(PP_INTERIOR, None, "no essential positions")
-    if not cls.lr_separated:
-        return _na(
-            PP_INTERIOR, None, "not separated at the outer essential positions"
-        )
+    gate = _outer_separated_gate(PP_INTERIOR, rule, cls)
+    if gate is not None:
+        return gate
     if cls.ell == cls.r:
         return _na(PP_INTERIOR, None, "single essential position: no interior map")
     if cls.r == cls.ell + 1:
@@ -259,15 +283,8 @@ def criterion_pp_interior(
     interior = interior_table(rule, cls.ell, cls.r)
     if is_permutation_map(interior, p, cls.r - cls.ell - 1):
         return _na(PP_INTERIOR, None, "interior map is a multivariate permutation map")
-    phi = p - 1
-    left = cls.component_at(cls.ell)
-    right = cls.component_at(cls.r)
-    raw_ok = (
-        gcd(_raw_q(raw_exponents, cls.ell, left.q), phi) == 1
-        or gcd(_raw_q(raw_exponents, cls.r, right.q), phi) == 1
-    )
-    canonical_ok = gcd(left.q, phi) == 1 or gcd(right.q, phi) == 1
-    return _two_readings(PP_INTERIOR, None, raw_ok, canonical_ok)
+    readings = _coprime_readings(cls, (cls.ell, cls.r), p - 1, raw_exponents)
+    return _two_readings(PP_INTERIOR, None, *readings)
 
 
 def criterion_pp_necessity(
@@ -288,30 +305,29 @@ def criterion_pp_necessity(
         return _na(PP_NECESSITY, None, "not a pure monomial sum")
     if not cls.essential:
         return _na(PP_NECESSITY, None, "no essential positions")
-    phi = p - 1
-    raw_ok = False
-    canonical_ok = False
-    for j in cls.essential:
-        comp = cls.component_at(j)
-        raw_ok = raw_ok or gcd(_raw_q(raw_exponents, j, comp.q), phi) == 1
-        canonical_ok = canonical_ok or gcd(comp.q, phi) == 1
-    return _two_readings(PP_NECESSITY, None, raw_ok, canonical_ok)
+    readings = _coprime_readings(cls, cls.essential, p - 1, raw_exponents)
+    return _two_readings(PP_NECESSITY, None, *readings)
 
 
 # --- injectivity and bijectivity criteria --------------------------------------
 
 
-def _ell_equals_r_readings(
+def _single_position_criterion(
+    criterion: str,
+    rule: RuleTable,
     cls: SeparationClass,
-    phi: int,
     raw_exponents: Mapping[int, tuple[int, int]] | None,
-) -> tuple[bool, bool]:
-    if cls.ell != cls.r:
-        return False, False
-    comp = cls.component_at(cls.ell)
-    raw_ok = gcd(_raw_q(raw_exponents, cls.ell, comp.q), phi) == 1
-    canonical_ok = gcd(comp.q, phi) == 1
-    return raw_ok, canonical_ok
+    note: str | None = None,
+) -> CriterionVerdict:
+    """Holds when there is a single essential position and its exponent is
+    coprime to totient(m), for outer-separated rules over m >= 3.
+    """
+    gate = _outer_separated_gate(criterion, rule, cls)
+    if gate is not None:
+        return gate
+    single = (cls.ell,) if cls.ell == cls.r else ()
+    readings = _coprime_readings(cls, single, totient(rule.m), raw_exponents)
+    return _two_readings(criterion, None, *readings, note)
 
 
 def criterion_injectivity(
@@ -323,16 +339,7 @@ def criterion_injectivity(
     exponent is coprime to totient(m), for outer-separated rules over a
     modulus of at least 3.
     """
-    if rule.m < 3:
-        return _na(INJECTIVITY, None, "modulus must be at least 3")
-    if not cls.essential:
-        return _na(INJECTIVITY, None, "no essential positions")
-    if not cls.lr_separated:
-        return _na(
-            INJECTIVITY, None, "not separated at the outer essential positions"
-        )
-    raw_ok, canonical_ok = _ell_equals_r_readings(cls, totient(rule.m), raw_exponents)
-    return _two_readings(INJECTIVITY, None, raw_ok, canonical_ok)
+    return _single_position_criterion(INJECTIVITY, rule, cls, raw_exponents)
 
 
 def criterion_bijectivity(
@@ -343,27 +350,11 @@ def criterion_bijectivity(
     """Bijectivity via the same single-position coprimality predicate.
 
     The printed statement names its gcd modulus with the same symbol used
-    elsewhere for the neighborhood radius; every verdict carries an
-    as-printed-ambiguous note and evaluates the totient reading.
+    elsewhere for the neighborhood radius; every applicable verdict
+    carries an as-printed-ambiguous note and evaluates the totient reading.
     """
     note = "as-printed ambiguous; evaluated with the totient reading"
-    if rule.m < 3:
-        return _na(BIJECTIVITY, None, "modulus must be at least 3")
-    if not cls.essential:
-        return _na(BIJECTIVITY, None, "no essential positions")
-    if not cls.lr_separated:
-        return _na(
-            BIJECTIVITY, None, "not separated at the outer essential positions"
-        )
-    raw_ok, canonical_ok = _ell_equals_r_readings(cls, totient(rule.m), raw_exponents)
-    return CriterionVerdict(
-        BIJECTIVITY,
-        None,
-        _verdict(raw_ok),
-        raw_value=_verdict(raw_ok),
-        canonical_value=_verdict(canonical_ok),
-        note=note,
-    )
+    return _single_position_criterion(BIJECTIVITY, rule, cls, raw_exponents, note)
 
 
 def criterion_even_exponents(
@@ -380,13 +371,8 @@ def criterion_even_exponents(
     if not cls.totally_separated:
         return _na(EVEN_EXPONENTS, None, "not a pure monomial sum")
     if not cls.essential:
-        return CriterionVerdict(
-            EVEN_EXPONENTS,
-            None,
-            HOLDS,
-            raw_value=HOLDS,
-            canonical_value=HOLDS,
-            note="vacuously satisfied: no monomial terms",
+        return _two_readings(
+            EVEN_EXPONENTS, None, True, True, "vacuously satisfied: no monomial terms"
         )
     raw_ok = all(
         _raw_q(raw_exponents, j, cls.component_at(j).q) % 2 == 0
@@ -543,6 +529,43 @@ def classification_to_dict(cls: SeparationClass) -> dict:
     }
 
 
+def rule_to_dict(rule: RuleTable, expression=None) -> dict:
+    return {
+        "m": rule.m,
+        "d": rule.d,
+        "expression": expression.source if expression is not None else None,
+        "table": list(rule.table),
+    }
+
+
+def _evaluate(
+    rule: RuleTable,
+    raw_exponents: Mapping[int, tuple[int, int]] | None,
+    caps: Caps,
+) -> tuple[SeparationClass, SurjectivityResult, InjectivityResult, dict]:
+    """The evaluation behind both the report and the audit row: classify,
+    brute-force permutivity, both deciders (one diamond search between
+    them), the criterion battery and its discrepancies against those
+    oracles. Returns the class, both decider results, and the fields the
+    two renderings share.
+    """
+    cls = classify(rule)
+    permutive = {j: is_permutive_at(rule, j) for j in range(1, rule.nvars + 1)}
+    surjective = decide_surjective(rule, caps)
+    injective = decide_injective(rule, caps, surjective)
+    verdicts = run_criteria(rule, cls, raw_exponents)
+    shared = {
+        "permutive": [
+            {"position": j, "verdict": verdict} for j, verdict in permutive.items()
+        ],
+        "criteria": [v.as_dict() for v in verdicts],
+        "discrepancies": find_discrepancies(
+            rule, verdicts, surjective, injective, permutive
+        ),
+    }
+    return cls, surjective, injective, shared
+
+
 def analyze(
     rule: RuleTable,
     *,
@@ -562,25 +585,11 @@ def analyze(
         raw_exponents = expression.raw_exponents()
     if rule_id is None and expression is not None:
         rule_id = expression.source
-    cls = classify(rule)
-    permutive = {j: is_permutive_at(rule, j) for j in range(1, rule.nvars + 1)}
-    surjective = decide_surjective(rule, caps)
-    injective = decide_injective(rule, caps, surjective)
-    verdicts = run_criteria(rule, cls, raw_exponents)
-    discrepancies = find_discrepancies(rule, verdicts, surjective, injective, permutive)
-    report = {
+    cls, surjective, injective, shared = _evaluate(rule, raw_exponents, caps)
+    return {
         "id": rule_id,
-        "rule": {
-            "m": rule.m,
-            "d": rule.d,
-            "expression": expression.source if expression is not None else None,
-            "table": list(rule.table),
-        },
+        "rule": rule_to_dict(rule, expression),
         "classification": classification_to_dict(cls),
-        "permutive": [
-            {"position": j, "verdict": permutive[j]}
-            for j in range(1, rule.nvars + 1)
-        ],
         "surjective": {
             "verdict": surjective.surjective,
             "witness": witness_to_dict(surjective.witness),
@@ -589,13 +598,11 @@ def analyze(
             "verdict": injective.injective,
             "witness": witness_to_dict(injective.witness),
         },
-        "criteria": [v.as_dict() for v in verdicts],
-        "discrepancies": discrepancies,
+        **shared,
         "timings": (
             {"seconds": time.perf_counter() - started} if with_timings else None
         ),
     }
-    return report
 
 
 # --- rule families ---------------------------------------------------------------
@@ -703,7 +710,8 @@ def parse_family(text: str) -> FamilySpec:
 
 @dataclass(frozen=True)
 class FamilyRule:
-    """One enumerated rule: identifier, table, and how it was built.
+    """One enumerated rule: identifier, validated table, and how it was
+    built.
 
     `raw` holds (position, coefficient, exponent) triples exactly as
     enumerated, so criteria can evaluate the written exponents even
@@ -711,9 +719,7 @@ class FamilyRule:
     """
 
     rule_id: str
-    m: int
-    d: int
-    table: tuple[int, ...]
+    rule: RuleTable
     raw: tuple[tuple[int, int, int], ...]
     params: tuple[tuple[str, int], ...]
 
@@ -770,9 +776,7 @@ def enumerate_family(
                         rule = sum_rule(m, spec.d, {j: (a, q)}, caps=caps)
                         yield FamilyRule(
                             rule_id=f"m{m}-d{spec.d}-j{j}-a{a}-q{q}",
-                            m=m,
-                            d=spec.d,
-                            table=rule.table,
+                            rule=rule,
                             raw=((j, a, q),),
                             params=(("position", j), ("a", a), ("q", q)),
                         )
@@ -793,9 +797,7 @@ def enumerate_family(
                                         f"m{m}-d{spec.d}-al{a_ell}-ql{q_ell}"
                                         f"-ar{a_r}-qr{q_r}-pi{index}"
                                     ),
-                                    m=m,
-                                    d=spec.d,
-                                    table=rule.table,
+                                    rule=rule,
                                     raw=((1, a_ell, q_ell), (r, a_r, q_r)),
                                     params=(
                                         ("a_ell", a_ell),
@@ -807,12 +809,9 @@ def enumerate_family(
                                 )
         else:
             for code in range(m ** (m ** (spec.d + 1))):
-                rule = rule_from_code(m, spec.d, code, caps)
                 yield FamilyRule(
                     rule_id=f"m{m}-d{spec.d}-t{code}",
-                    m=m,
-                    d=spec.d,
-                    table=rule.table,
+                    rule=rule_from_code(m, spec.d, code, caps),
                     raw=(),
                     params=(("code", code),),
                 )
@@ -832,12 +831,7 @@ def audit_row(
     """Slim per-rule audit record: decider verdicts, criterion verdicts,
     and exactly the applicable-criterion-vs-oracle disagreements.
     """
-    cls = classify(rule)
-    permutive = {j: is_permutive_at(rule, j) for j in range(1, rule.nvars + 1)}
-    surjective = decide_surjective(rule, caps)
-    injective = decide_injective(rule, caps, surjective)
-    verdicts = run_criteria(rule, cls, raw_exponents)
-    discrepancies = find_discrepancies(rule, verdicts, surjective, injective, permutive)
+    _, surjective, injective, shared = _evaluate(rule, raw_exponents, caps)
     return {
         "id": rule_id,
         "m": rule.m,
@@ -845,30 +839,36 @@ def audit_row(
         "params": dict(params) if params else {},
         "surjective": surjective.surjective,
         "injective": injective.injective,
-        "permutive": [
-            {"position": j, "verdict": permutive[j]}
-            for j in range(1, rule.nvars + 1)
-        ],
-        "criteria": [v.as_dict() for v in verdicts],
-        "discrepancies": discrepancies,
+        **shared,
     }
 
 
-def _audit_worker(args: tuple) -> dict:
-    m, d, table, rule_id, raw, params, caps = args
-    rule = RuleTable.make(m, d, table, caps)
+def _family_map(
+    worker: Callable[[Caps, FamilyRule], object],
+    spec: FamilySpec,
+    caps: Caps,
+    jobs: int,
+) -> Iterator:
+    """worker(caps, rule) for every rule of the family, in enumeration
+    order, serially or on a pool of `jobs` processes.
+    """
+    task = partial(worker, caps)
+    rules = enumerate_family(spec, caps)
+    if jobs <= 1:
+        yield from map(task, rules)
+        return
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(task, rules, chunksize=16)
+
+
+def _audit_worker(caps: Caps, fr: FamilyRule) -> dict:
     return audit_row(
-        rule,
-        rule_id=rule_id,
-        raw_exponents={j: (a, q) for j, a, q in raw},
-        params=dict(params),
+        fr.rule,
+        rule_id=fr.rule_id,
+        raw_exponents={j: (a, q) for j, a, q in fr.raw},
+        params=dict(fr.params),
         caps=caps,
     )
-
-
-def _audit_args(spec: FamilySpec, caps: Caps) -> Iterator[tuple]:
-    for fr in enumerate_family(spec, caps):
-        yield fr.m, fr.d, fr.table, fr.rule_id, fr.raw, fr.params, caps
 
 
 def audit(
@@ -877,12 +877,7 @@ def audit(
     """Stream audit rows for the family, in enumeration order regardless
     of worker count.
     """
-    if jobs <= 1:
-        for args in _audit_args(spec, caps):
-            yield _audit_worker(args)
-        return
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(_audit_worker, _audit_args(spec, caps), chunksize=16)
+    return _family_map(_audit_worker, spec, caps, jobs)
 
 
 def sufficiency_violation_on_prime(row: Mapping) -> bool:
@@ -904,18 +899,12 @@ def sufficiency_violation_on_prime(row: Mapping) -> bool:
 # --- conjecture scan ---------------------------------------------------------------
 
 
-def _scan_worker(args: tuple) -> tuple[str, bool, bool]:
-    m, d, table, rule_id, q_ell, q_r, caps = args
-    rule = RuleTable.make(m, d, table, caps)
-    surjective = decide_surjective(rule, caps).surjective
-    disjunction = gcd(q_ell, m - 1) == 1 or gcd(q_r, m - 1) == 1
-    return rule_id, surjective, disjunction
-
-
-def _scan_args(spec: FamilySpec, caps: Caps) -> Iterator[tuple]:
-    for fr in enumerate_family(spec, caps):
-        (_, _, q_ell), (_, _, q_r) = fr.raw
-        yield fr.m, fr.d, fr.table, fr.rule_id, q_ell, q_r, caps
+def _scan_worker(caps: Caps, fr: FamilyRule) -> tuple[str, bool, bool]:
+    (_, _, q_ell), (_, _, q_r) = fr.raw
+    p = fr.rule.m
+    surjective = decide_surjective(fr.rule, caps).surjective
+    disjunction = gcd(q_ell, p - 1) == 1 or gcd(q_r, p - 1) == 1
+    return fr.rule_id, surjective, disjunction
 
 
 def conjecture_scan(
@@ -954,23 +943,14 @@ def conjecture_scan(
     surjective_count = 0
     sufficiency: list[str] = []
     necessity: list[str] = []
-
-    def consume(results: Iterable[tuple[str, bool, bool]]) -> None:
-        nonlocal total, surjective_count
-        for rule_id, surjective, disjunction in results:
-            total += 1
-            if surjective:
-                surjective_count += 1
-            if disjunction and not surjective:
-                sufficiency.append(rule_id)
-            if surjective and not disjunction:
-                necessity.append(rule_id)
-
-    if jobs <= 1:
-        consume(_scan_worker(args) for args in _scan_args(spec, caps))
-    else:
-        with multiprocessing.Pool(jobs) as pool:
-            consume(pool.imap(_scan_worker, _scan_args(spec, caps), chunksize=16))
+    for rule_id, surjective, disjunction in _family_map(_scan_worker, spec, caps, jobs):
+        total += 1
+        if surjective:
+            surjective_count += 1
+        if disjunction and not surjective:
+            sufficiency.append(rule_id)
+        if surjective and not disjunction:
+            necessity.append(rule_id)
     return {
         "modulus": p,
         "diameter": d,

@@ -73,14 +73,6 @@ def poly_add(f: Poly, g: Poly) -> Poly:
     return Poly.make(f.m, (a + b for a, b in zip(fc, gc)))
 
 
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    _same_modulus(f, g)
-    n = max(len(f.coeffs), len(g.coeffs))
-    fc = f.coeffs + (0,) * (n - len(f.coeffs))
-    gc = g.coeffs + (0,) * (n - len(g.coeffs))
-    return Poly.make(f.m, (a - b for a, b in zip(fc, gc)))
-
-
 def poly_mul(f: Poly, g: Poly) -> Poly:
     _same_modulus(f, g)
     if f.is_zero() or g.is_zero():
@@ -226,7 +218,7 @@ def representability_search(
     c_{k-1} = f(1) - c_0 - ... - c_{k-2}; the search enumerates the
     m**(k-2) middle tuples in order, so its first hit is the
     lexicographically first polynomial. It refuses, before either step,
-    when the full tuple space m**kempner(m) exceeds caps.poly_search.
+    when those m**(kempner(m)-2) tuples exceed caps.poly_search.
     """
     from math import gcd
 
@@ -234,7 +226,7 @@ def representability_search(
     if len(values) != m:
         raise ValueError(f"expected {m} values, got {len(values)}")
     k = kempner(m)
-    total = m**k
+    total = m ** (k - 2)
     if total > caps.poly_search:
         raise CapExceeded(
             f"representability search over Z_{m} needs {total} candidates, "

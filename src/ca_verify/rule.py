@@ -358,24 +358,6 @@ def classify(rule: RuleTable) -> SeparationClass:
     )
 
 
-def residual_table(rule: RuleTable, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The rest of the rule once position j is pinned to zero, tabulated
-    over the remaining essential positions in ascending order (mixed
-    radix, first listed position most significant). Returns
-    (positions, values).
-    """
-    essential = essential_positions(rule)
-    others = tuple(p for p in essential if p != j)
-    m = rule.m
-    values = []
-    for assignment in itertools.product(range(m), repeat=len(others)):
-        window = [0] * rule.nvars
-        for pos, val in zip(others, assignment):
-            window[pos - 1] = val
-        values.append(rule.evaluate(window))
-    return others, tuple(values)
-
-
 def interior_table(rule: RuleTable, ell: int, r: int) -> tuple[int, ...]:
     """Value table of the rule over the positions strictly between ell
     and r, with both end positions pinned to zero. This is the residual

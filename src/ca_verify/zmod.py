@@ -6,7 +6,6 @@ All functions are integer-exact and sized for desk-scale moduli
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 MODULUS_LIMIT = 1 << 16
@@ -141,38 +140,3 @@ def monomial_invert(a: int, q: int, b: int, m: int) -> tuple[int, ...]:
     table = monomial_table(a, q, m)
     b %= m
     return tuple(x for x in range(m) if table[x] == b)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """The map x -> a * x**q on Z_m.
-
-    `q` is stored in canonical form (the smallest exponent inducing the
-    same function); the exponent the caller supplied is kept in `raw_q`.
-    Exponent zero is rejected: a constant term is not a monomial map and
-    belongs to the residual part of a rule instead.
-    """
-
-    a: int
-    q: int
-    raw_q: int
-    m: int
-
-    @classmethod
-    def make(cls, a: int, q: int, m: int) -> "Monomial":
-        check_modulus(m)
-        if q < 1:
-            raise ValueError(f"monomial exponent must be >= 1, got {q}")
-        a %= m
-        if a == 0:
-            raise ValueError("monomial coefficient must be nonzero mod m")
-        return cls(a=a, q=canonical_exponent(a, q, m), raw_q=q, m=m)
-
-    def table(self) -> tuple[int, ...]:
-        return monomial_table(self.a, self.q, self.m)
-
-    def is_bijective(self) -> bool:
-        return monomial_is_bijective(self.a, self.q, self.m)
-
-    def invert(self, b: int) -> tuple[int, ...]:
-        return monomial_invert(self.a, self.q, b, self.m)

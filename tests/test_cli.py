@@ -353,6 +353,23 @@ def test_interpolate_validation_errors(capsys):
     assert run(capsys, "interpolate", "--m", "3")[0] == 1
 
 
+def test_interpolate_z14_within_default_cap(capsys, monkeypatch):
+    """The search over Z_14 enumerates 14^5 tuples, within the default
+    cap, although its full tuple space 14^7 is not.
+    """
+    monkeypatch.delenv("CA_VERIFY_CAPS", raising=False)
+    squares = [x * x % 14 for x in range(14)]
+    code, doc, _ = run_json(
+        capsys, "interpolate", "--m", "14", ",".join(map(str, squares))
+    )
+    assert code == 0
+    coeffs = doc["report"]["coefficients"]
+    assert len(coeffs) <= 7  # kempner(14)
+    assert [
+        sum(c * x**e for e, c in enumerate(coeffs)) % 14 for x in range(14)
+    ] == squares
+
+
 def test_interpolate_caps_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("CA_VERIFY_CAPS", "poly_search=10")
     code, _, err = run(capsys, "interpolate", "--m", "4", "0,1,0,1")

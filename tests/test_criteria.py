@@ -21,6 +21,7 @@ from ca_verify.criteria import (
     FamilySpec,
     analyze,
     audit,
+    audit_row,
     conjecture_scan,
     criterion_even_exponents,
     criterion_surjectivity_sufficient,
@@ -345,7 +346,7 @@ def test_family_sampling_is_seeded():
         spec = parse_family(
             f"kind=lr_separated\nmoduli=3\nd=2\nq_max=1\npi=sample:2\nseed={seed}\n"
         )
-        return [r.table for r in enumerate_family(spec)]
+        return [r.rule.table for r in enumerate_family(spec)]
 
     assert tables(5) == tables(5)
     assert tables(5) != tables(6)
@@ -371,6 +372,31 @@ def test_audit_flags_only_the_cubic_shift_rules_mod4():
     assert flagged == {"m4-d0-j1-a1-q3", "m4-d0-j1-a3-q3"}
     for row in rows:
         assert not sufficiency_violation_on_prime(row)  # composite modulus
+
+
+def test_audit_row_and_analyze_render_one_evaluation():
+    """The audit row and the full report of a rule carry the same
+    verdicts, criteria and discrepancies, on families where some written
+    exponents differ from the canonical ones.
+    """
+    specs = (
+        "kind=shift_like\nmoduli=4\nq_max=6\n",
+        "kind=lr_separated\nmoduli=5\nd=2\nq_min=4\nq_max=5\npi=sample:2\n",
+    )
+    for text in specs:
+        rewritten = discrepancies = 0
+        for fr in enumerate_family(parse_family(text)):
+            raw = {j: (a, q) for j, a, q in fr.raw}
+            row = audit_row(fr.rule, rule_id=fr.rule_id, raw_exponents=raw)
+            rep = analyze(fr.rule, raw_exponents=raw, rule_id=fr.rule_id)
+            assert row["surjective"] == rep["surjective"]["verdict"]
+            assert row["injective"] == rep["injective"]["verdict"]
+            for key in ("permutive", "criteria", "discrepancies"):
+                assert row[key] == rep[key]
+            cls = classify(fr.rule)
+            rewritten += any(cls.component_at(j).q != q for j, _, q in fr.raw)
+            discrepancies += bool(row["discrepancies"])
+        assert rewritten and discrepancies
 
 
 def test_audit_parallel_equals_serial():
