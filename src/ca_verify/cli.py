@@ -11,6 +11,7 @@ object per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -547,7 +548,11 @@ def cmd_interpolate(ns, caps: Caps, argv: Sequence[str]) -> int:
 # --- parser and entry point --------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing reads it and never changes it.
+    """
     parser = _ArgumentParser(
         prog="ca-verify",
         description="Exact deciders and algebraic criteria for one-dimensional "

@@ -22,7 +22,6 @@ pool, in enumeration order.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import random
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -857,6 +856,8 @@ def _family_map(
     if jobs <= 1:
         yield from map(task, rules)
         return
+    import multiprocessing  # here, so that calls without a pool never load it
+
     with multiprocessing.Pool(jobs) as pool:
         yield from pool.imap(task, rules, chunksize=16)
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.rule import CyclicWord, RuleTable, SeparationClass, is_permutive_at
@@ -95,6 +95,25 @@ class InjectivityResult:
     witness: Diamond | PeriodicPair | None
 
 
+def _count_step(rule: RuleTable, counts: Sequence[int], letter: int) -> list[int]:
+    """Preimage counts one letter on: counts[v] is the number of preimages
+    ending in the de Bruijn vertex v (the last d letters), and the result
+    counts those extended by one window whose image is `letter`.
+    """
+    m, table = rule.m, rule.table
+    n = len(counts)
+    nxt = [0] * n
+    for v in range(n):
+        c = counts[v]
+        if not c:
+            continue
+        base = v * m
+        for a in range(m):
+            if table[base + a] == letter:
+                nxt[(base + a) % n] += c
+    return nxt
+
+
 def count_preimages(rule: RuleTable, word: Sequence[int]) -> int:
     """Number of words of length len(word) + d mapping onto `word` under
     the finite-word extension map. Surjective rules give exactly m^d for
@@ -102,22 +121,11 @@ def count_preimages(rule: RuleTable, word: Sequence[int]) -> int:
     """
     if len(word) < 1:
         raise ValueError("preimage counting needs a non-empty word")
-    m, d, table = rule.m, rule.d, rule.table
-    n = m**d
-    counts = [1] * n
+    counts = [1] * rule.m**rule.d
     for letter in word:
-        if not 0 <= letter < m:
-            raise ValueError(f"letter {letter} out of range for Z_{m}")
-        nxt = [0] * n
-        for v in range(n):
-            c = counts[v]
-            if not c:
-                continue
-            base = v * m
-            for a in range(m):
-                if table[base + a] == letter:
-                    nxt[(base + a) % n] += c
-        counts = nxt
+        if not 0 <= letter < rule.m:
+            raise ValueError(f"letter {letter} out of range for Z_{rule.m}")
+        counts = _count_step(rule, counts, letter)
     return sum(counts)
 
 
@@ -129,7 +137,7 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
     most m^(2d) pair vertices. Negative verdicts carry the shortest
     unbalanced word, found by a separate search bounded by subset_states.
     """
-    diamond = _shortest_diamond(rule, caps)
+    diamond = _shortest_diamond(rule, caps, _pair_tables(rule))
     if diamond is None:
         return SurjectivityResult(True, None)
     witness = shortest_unbalanced_word(rule, caps)
@@ -146,24 +154,14 @@ def shortest_unbalanced_word(
     lexicographically smallest word. None when every reachable count is
     balanced (i.e. the rule is surjective).
     """
-    m, d, table = rule.m, rule.d, rule.table
-    n = m**d
-    expected = n
-    start = (1,) * n
+    expected = rule.m**rule.d
+    start = (1,) * expected
     seen = {start}
     frontier: deque[tuple[tuple[int, ...], tuple[int, ...]]] = deque([(start, ())])
     while frontier:
         counts, word = frontier.popleft()
-        for letter in range(m):
-            nxt = [0] * n
-            for v in range(n):
-                c = counts[v]
-                if not c:
-                    continue
-                base = v * m
-                for a in range(m):
-                    if table[base + a] == letter:
-                        nxt[(base + a) % n] += c
+        for letter in range(rule.m):
+            nxt = _count_step(rule, counts, letter)
             if sum(nxt) != expected:
                 return UnbalancedWord(word + (letter,), sum(nxt), expected)
             key = tuple(nxt)
@@ -177,49 +175,28 @@ def shortest_unbalanced_word(
     return None
 
 
-def _pair_successors(rule: RuleTable, unordered: bool = False):
-    """Successor function of the pair graph. Vertex u*n + v is the
+_PairTables = tuple[list[list[tuple[int, int]]], list[list[list[tuple[int, int]]]]]
+
+
+def _pair_tables(rule: RuleTable) -> _PairTables:
+    """Flat successor tables of the pair graph. Vertex u*n + v is the
     ordered pair of de Bruijn vertices (length-d words, most significant
     letter first) u and v; an edge (a, b) leaves it when the windows ua
     and vb have equal images, and enters the pair of their length-d
-    suffixes. successors(pid) lists (a, b, head) with (a, b) ascending,
-    which keeps every search over it deterministic. With unordered=True,
-    quotient(u*n + v), u < v, is the set of keys x*n + y, x < y, of the
-    off-diagonal heads (x, y) or (y, x) of (u, v): the swap quotient.
+    suffixes. rows[u][a] is (suffix of ua, image of ua), and
+    tails[v][label] lists (b, suffix of vb), b ascending, for the letters
+    b that give vb that image (b is kept, as the suffix drops it when
+    d = 0). Reading rows[u] in order, then tails[v][label], gives the
+    edges out of u*n + v in ascending (a, b), which keeps every search
+    over them deterministic.
     """
     m, table = rule.m, rule.table
     n = m**rule.d
-    # heads[v][label] = [(b, suffix of vb)] for the letters b with f(vb) = label
-    heads: list[list[list[tuple[int, int]]]] = []
-    for v in range(n):
-        by_label: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-        for b in range(m):
-            w = v * m + b
-            by_label[table[w]].append((b, w % n))
-        heads.append(by_label)
-
-    def successors(pid: int) -> list[tuple[int, int, int]]:
-        u, v = divmod(pid, n)
-        by_label = heads[v]
-        base = u * m
-        return [
-            (a, b, (base + a) % n * n + tail)
-            for a in range(m)
-            for b, tail in by_label[table[base + a]]
-        ]
-
-    def quotient(key: int) -> set[int]:
-        u, v = divmod(key, n)
-        by_label = heads[v]
-        out = set()
-        for w in range(u * m, u * m + m):
-            x = w % n
-            for _, y in by_label[table[w]]:
-                if x != y:
-                    out.add(x * n + y if x < y else y * n + x)
-        return out
-
-    return quotient if unordered else successors
+    rows = [[(w % n, table[w]) for w in range(u * m, u * m + m)] for u in range(n)]
+    tails: list[list[list[tuple[int, int]]]] = [[[] for _ in range(m)] for _ in range(n)]
+    for w, label in enumerate(table):
+        tails[w // m][label].append((w % m, w % n))
+    return rows, tails
 
 
 def _vertex_word(v: int, m: int, d: int) -> tuple[int, ...]:
@@ -230,7 +207,22 @@ def _vertex_word(v: int, m: int, d: int) -> tuple[int, ...]:
     return tuple(reversed(digits))
 
 
-def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
+def _letter_path(
+    parents: dict[int, tuple[int, int, int]], pid: int, a: int, b: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Follow `parents` back from the edge (a, b) out of pid to the root
+    of the breadth-first search, the first vertex without a parent.
+    Returns the root and the two letter tracks of the path from it.
+    """
+    letters = [(a, b)]
+    while pid in parents:
+        pid, a, b = parents[pid]
+        letters.append((a, b))
+    u, v = zip(*reversed(letters))
+    return pid, u, v
+
+
+def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamond | None:
     """Breadth-first search of the pair graph, expanded on demand from
     the diagonal: out of every diagonal vertex (in order) along an
     unequal letter pair, then along any edge, until the diagonal is met
@@ -243,51 +235,66 @@ def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
     """
     m, d = rule.m, rule.d
     n = m**d
-    diagonal = n + 1  # pid u*n + u is a multiple of n + 1
     if n > caps.pair_vertices:
         raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
-    successors = _pair_successors(rule)
+    rows, tails = tables
     parents: dict[int, tuple[int, int, int]] = {}
-    frontier = deque(range(0, n * n, diagonal))
+    frontier = deque(range(0, n * n, n + 1))
     while frontier:
         pid = frontier.popleft()
-        leaving = pid % diagonal == 0
-        for a, b, head in successors(pid):
-            if leaving and a == b:
-                continue
-            if head % diagonal == 0:
-                letters = [(a, b)]
-                while pid % diagonal:
-                    pid, a, b = parents[pid]
-                    letters.append((a, b))
-                u, v = zip(*reversed(letters))
-                prefix = _vertex_word(pid // n, m, d)
-                return Diamond(prefix + u, prefix + v)
-            if head in parents:
-                continue
-            parents[head] = (pid, a, b)
-            if n + len(parents) > caps.pair_vertices:
-                raise CapExceeded(
-                    f"pair search exceeded {caps.pair_vertices} vertices"
-                )
-            frontier.append(head)
+        u, v = divmod(pid, n)
+        leaving = u == v
+        by_label = tails[v]
+        for a, (x, label) in enumerate(rows[u]):
+            for b, y in by_label[label]:
+                if leaving and a == b:
+                    continue
+                if x == y:
+                    root, left, right = _letter_path(parents, pid, a, b)
+                    prefix = _vertex_word(root // n, m, d)
+                    return Diamond(prefix + left, prefix + right)
+                head = x * n + y
+                if head in parents:
+                    continue
+                parents[head] = (pid, a, b)
+                if n + len(parents) > caps.pair_vertices:
+                    raise CapExceeded(
+                        f"pair search exceeded {caps.pair_vertices} vertices"
+                    )
+                frontier.append(head)
     return None
 
 
-def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
+def _offdiagonal_cycle_pair(
+    rule: RuleTable, caps: Caps, tables: _PairTables
+) -> PeriodicPair | None:
     """PeriodicPair of a rule without a diamond, None if it is injective.
     Tarjan's algorithm on the swap quotient (see decide_injective) finds
     `start`, the smallest key u*n + v, u < v, on a quotient cycle, which
     is the smallest off-diagonal pair vertex on any cycle: its mirror has
     the larger key. It stops at the first root above a start found, as
     every component reachable from a root is emitted before the next.
-    The witness is the breadth-first shortest cycle through start.
+    So `start` does not depend on the order of quotient edges, nor on
+    their repeats, which Tarjan takes. The witness is the breadth-first
+    shortest cycle through start.
     """
     m, n = rule.m, rule.m**rule.d
     total = n * n
     if total > caps.pair_vertices:
         raise CapExceeded(f"pair graph needs {total} vertices, cap is {caps.pair_vertices}")
-    quotient = _pair_successors(rule, unordered=True)
+    rows, tails = tables
+
+    def quotient(key: int) -> list[int]:
+        """Keys x*n + y, x < y, of the off-diagonal heads (x, y) or (y, x)."""
+        u, v = divmod(key, n)
+        by_label = tails[v]
+        return [
+            x * n + y if x < y else y * n + x
+            for x, label in rows[u]
+            for _, y in by_label[label]
+            if x != y
+        ]
+
     order, low = [0] * total, [0] * total  # depth-first index, total once finished
     stack: list[int] = []
     count, start = 0, total  # total: no start yet
@@ -296,7 +303,7 @@ def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
             break
         if order[root]:
             continue
-        calls: list[tuple[int, set[int], Iterator[int], int]] = []
+        calls: list[tuple] = []  # (key, heads, pending heads, stack position)
         head = root
         while head is not None or calls:
             if head is not None:  # enter it
@@ -325,22 +332,21 @@ def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
                         start = min(start, *component)
     if start == total:
         return None
-    successors = _pair_successors(rule)
     parents: dict[int, tuple[int, int, int]] = {}
     frontier = deque([start])
     while frontier:
         pid = frontier.popleft()
-        for a, b, head in successors(pid):
-            if head == start:
-                letters = [(a, b)]
-                while pid != start:
-                    pid, a, b = parents[pid]
-                    letters.append((a, b))
-                x, y = zip(*reversed(letters))
-                return PeriodicPair(CyclicWord(m, x), CyclicWord(m, y))
-            if head not in parents:
-                parents[head] = (pid, a, b)
-                frontier.append(head)
+        u, v = divmod(pid, n)
+        by_label = tails[v]
+        for a, (x, label) in enumerate(rows[u]):
+            for b, y in by_label[label]:
+                head = x * n + y
+                if head == start:
+                    _, left, right = _letter_path(parents, pid, a, b)
+                    return PeriodicPair(CyclicWord(m, left), CyclicWord(m, right))
+                if head not in parents:
+                    parents[head] = (pid, a, b)
+                    frontier.append(head)
     raise AssertionError("unreachable: start lies on a cycle")
 
 
@@ -368,13 +374,14 @@ def decide_injective(
     and the mirror image of that path closes the cycle. So a quotient
     self-loop counts, even one whose only edge is (u, v) -> (v, u).
     """
-    if surjectivity is not None and (surjectivity.surjective or surjectivity.diamond):
-        diamond = surjectivity.diamond
-    else:
-        diamond = _shortest_diamond(rule, caps)
-    if diamond is not None:
-        return InjectivityResult(False, diamond)
-    pair = _offdiagonal_cycle_pair(rule, caps)
+    if surjectivity is not None and surjectivity.diamond is not None:
+        return InjectivityResult(False, surjectivity.diamond)
+    tables = _pair_tables(rule)
+    if surjectivity is None or not surjectivity.surjective:
+        diamond = _shortest_diamond(rule, caps, tables)
+        if diamond is not None:
+            return InjectivityResult(False, diamond)
+    pair = _offdiagonal_cycle_pair(rule, caps, tables)
     return InjectivityResult(pair is None, pair)
 
 

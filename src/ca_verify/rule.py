@@ -59,12 +59,6 @@ class CyclicWord:
                 return CyclicWord(self.m, self.cells[:p])
         raise AssertionError("unreachable: n is always a period of itself")
 
-    def rotated(self, k: int) -> "CyclicWord":
-        """The configuration shifted left by k cells (new cell i = old cell i+k)."""
-        n = len(self.cells)
-        k %= n
-        return CyclicWord(self.m, self.cells[k:] + self.cells[:k])
-
     def config_equal(self, other: "CyclicWord") -> bool:
         return (
             self.m == other.m

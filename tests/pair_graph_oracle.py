@@ -5,19 +5,95 @@ of the pair graph lies on a cycle. This oracle materialises all m^(2d)
 pair vertices with their successor lists, labels every vertex with its
 strongly connected component (Kosaraju) and takes the smallest
 off-diagonal vertex on a cycle; the package answers the same question
-with one cycle search over unordered off-diagonal pairs.
+with one cycle search over unordered off-diagonal pairs. The edge
+relation and the diamond search are the oracle's own copies, so the
+package's successor tables are checked, not shared.
 """
 
 from collections import deque
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
-from ca_verify.decide import (
-    InjectivityResult,
-    PeriodicPair,
-    _pair_successors,
-    _shortest_diamond,
-)
+from ca_verify.decide import Diamond, InjectivityResult, PeriodicPair
 from ca_verify.rule import CyclicWord, RuleTable
+
+
+def _pair_successors(rule: RuleTable):
+    """Successor function of the pair graph. Vertex u*n + v is the
+    ordered pair of de Bruijn vertices (length-d words, most significant
+    letter first) u and v; an edge (a, b) leaves it when the windows ua
+    and vb have equal images, and enters the pair of their length-d
+    suffixes. successors(pid) lists (a, b, head) with (a, b) ascending.
+    """
+    m, table = rule.m, rule.table
+    n = m**rule.d
+    # heads[v][label] = [(b, suffix of vb)] for the letters b with f(vb) = label
+    heads: list[list[list[tuple[int, int]]]] = []
+    for v in range(n):
+        by_label: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+        for b in range(m):
+            w = v * m + b
+            by_label[table[w]].append((b, w % n))
+        heads.append(by_label)
+
+    def successors(pid: int) -> list[tuple[int, int, int]]:
+        u, v = divmod(pid, n)
+        by_label = heads[v]
+        base = u * m
+        return [
+            (a, b, (base + a) % n * n + tail)
+            for a in range(m)
+            for b, tail in by_label[table[base + a]]
+        ]
+
+    return successors
+
+
+def _vertex_word(v: int, m: int, d: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(d):
+        v, rem = divmod(v, m)
+        digits.append(rem)
+    return tuple(reversed(digits))
+
+
+def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
+    """Breadth-first search of the pair graph from the diagonal: out of
+    every diagonal vertex (in order) along an unequal letter pair, then
+    along any edge, until the diagonal is met again. The first return is
+    the shortest diamond, lexicographically least on (shared prefix,
+    letter pairs).
+    """
+    m, d = rule.m, rule.d
+    n = m**d
+    diagonal = n + 1  # pid u*n + u is a multiple of n + 1
+    if n > caps.pair_vertices:
+        raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
+    successors = _pair_successors(rule)
+    parents: dict[int, tuple[int, int, int]] = {}
+    frontier = deque(range(0, n * n, diagonal))
+    while frontier:
+        pid = frontier.popleft()
+        leaving = pid % diagonal == 0
+        for a, b, head in successors(pid):
+            if leaving and a == b:
+                continue
+            if head % diagonal == 0:
+                letters = [(a, b)]
+                while pid % diagonal:
+                    pid, a, b = parents[pid]
+                    letters.append((a, b))
+                u, v = zip(*reversed(letters))
+                prefix = _vertex_word(pid // n, m, d)
+                return Diamond(prefix + u, prefix + v)
+            if head in parents:
+                continue
+            parents[head] = (pid, a, b)
+            if n + len(parents) > caps.pair_vertices:
+                raise CapExceeded(
+                    f"pair search exceeded {caps.pair_vertices} vertices"
+                )
+            frontier.append(head)
+    return None
 
 
 def _pair_graph(rule: RuleTable, caps: Caps) -> list[list[tuple[int, int, int]]]:

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 from ca_verify import schema
-from ca_verify.cli import main
+from ca_verify.cli import build_parser, main
 
 RULE_A = "m=4; d=2; f=x1^2+x2+x3^2"
 
@@ -385,3 +385,16 @@ def test_unknown_subcommand_exits_1(capsys):
 
 def test_no_subcommand_exits_1(capsys):
     assert run(capsys)[0] == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """Later calls in one process reuse the parser of the first: a
+    failed expectation or an unknown flag must not leak into the next.
+    """
+    build_parser.cache_clear()
+    first = run(capsys, "analyze", RULE_A)
+    assert first[0] == 0
+    assert run(capsys, "analyze", RULE_A, "--expect", "injective")[0] == 3
+    assert run(capsys, "analyze", RULE_A, "--no-such-flag")[0] == 1
+    assert run(capsys, "analyze", RULE_A) == first
+    assert build_parser.cache_info().misses == 1
