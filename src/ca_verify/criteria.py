@@ -13,7 +13,9 @@ Every rule is evaluated once, along one path (_evaluate): classify,
 brute-force permutivity, both exact deciders, the criterion battery, and
 the disagreements between its predictions and those oracles, as
 discrepancy records carrying the oracle witness. Discrepancies are never
-auto-resolved. `analyze` renders the evaluation as the full report and
+auto-resolved. Classify, permutivity and the Hermite component read one
+column pass of the table; the Hermite verdict and each verdict's dict are
+memoised. `analyze` renders the evaluation as the full report and
 `audit_row` as the slim audit row. Audits and conjecture scans map one
 worker over the validated rules of a family, serially or on a process
 pool, in enumeration order.
@@ -26,7 +28,7 @@ import random
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from math import gcd
 
 from .caps import Caps, DEFAULT_CAPS, CapExceeded
@@ -94,6 +96,12 @@ class CriterionVerdict:
         return self.value != NOT_APPLICABLE
 
     def as_dict(self) -> dict:
+        """Built once per verdict and shared: verdicts are frozen and few
+        (about 36 per audit sweep). Read the dict, never mutate it."""
+        return self._dict
+
+    @cached_property
+    def _dict(self) -> dict:
         return {
             "criterion": self.criterion,
             "position": self.position,
@@ -178,15 +186,6 @@ def _outer_separated_gate(
 # --- permutivity criteria -----------------------------------------------------
 
 
-def permutive_bruteforce(rule: RuleTable, j: int) -> bool:
-    """Ground truth for every permutivity criterion: exhaustive check that
-    x_j -> f(...) is a bijection in every context.
-    """
-    if not 1 <= j <= rule.nvars:
-        raise ValueError(f"position {j} out of range [1, {rule.nvars}]")
-    return is_permutive_at(rule, j)
-
-
 def criterion_totient_permutivity(
     rule: RuleTable,
     cls: SeparationClass,
@@ -212,27 +211,32 @@ def criterion_hermite_permutivity(
     """deg(pi) < p and gcd(pi', x^p - x) = 1 for the additive component pi
     at position j, over a prime modulus.
 
-    The canonical reading interpolates the component, so its degree is
-    always below p and only the gcd can fail. The raw reading keeps the
-    written monomial, where an exponent >= p fails the degree clause.
+    pi is the difference table the rule's column pass found. The canonical
+    reading interpolates it, so its degree is always below p and only the
+    gcd can fail. The raw reading keeps the written monomial, where an
+    exponent >= p fails the degree clause. The verdict depends on nothing
+    else, so it is memoised on (p, j, pi, written (a, q)).
     """
     p = rule.m
     if not is_prime(p):
         return _na(HERMITE_PERMUTIVITY, j, "modulus is not prime")
-    component = separable_component_at(rule, j)
+    written = raw_exponents.get(j) if raw_exponents else None
+    return _hermite_verdict(p, j, separable_component_at(rule, j), written)
+
+
+@lru_cache(maxsize=1 << 12)
+def _hermite_verdict(
+    p: int, j: int, component: tuple | None, written: tuple | None
+) -> CriterionVerdict:
     if component is None:
         return _na(
             HERMITE_PERMUTIVITY, j, "no additive univariate component at this position"
         )
     canonical_ok = hermite_criterion(interpolate_prime(component, p))
     raw_ok = canonical_ok
-    if raw_exponents and j in raw_exponents:
-        a, q = raw_exponents[j]
-        if q >= p:
-            raw_ok = False
-        else:
-            written = Poly.make(p, [0] * q + [a])
-            raw_ok = hermite_criterion(written)
+    if written is not None:
+        a, q = written
+        raw_ok = q < p and hermite_criterion(Poly.make(p, [0] * q + [a]))
     return _two_readings(HERMITE_PERMUTIVITY, j, raw_ok, canonical_ok)
 
 

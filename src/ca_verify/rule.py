@@ -4,6 +4,10 @@ The canonical representation is the full value table (RuleTable). On top
 of that this module provides the finite-word extension map, exact dynamics
 on spatially periodic configurations, detection of additively separated
 structure, and the two rule front ends (expression strings, table files).
+Separated structure comes from one walk per position over its columns
+(the m outputs as x_j runs, other coordinates fixed), each read as a table
+slice: essential, permutive (brute force) and the separable difference
+table. classify and the per-position functions only read that result.
 
 Window positions are 1-based (x1 .. x(d+1)) in every public signature,
 matching the variable names of the expression grammar.
@@ -15,7 +19,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.zmod import (
@@ -164,32 +168,65 @@ class RuleTable:
         return CyclicWord(self.m, tuple(out))
 
 
-def _context_bases(size: int, m: int, stride: int) -> Iterable[int]:
-    """Table indices whose digit at the given stride is zero."""
-    block = stride * m
-    for hi in range(0, size, block):
-        for lo in range(stride):
-            yield hi + lo
+def _columns(rule: RuleTable, j: int) -> list[tuple[int, ...]]:
+    """Position j's columns as table slices, one per context (the other
+    coordinates in window order, leftmost most significant)."""
+    m, table = rule.m, rule.table
+    stride = m ** (rule.nvars - j)
+    span = stride * m
+    return [
+        table[base : base + span : stride]
+        for hi in range(0, len(table), span)
+        for base in range(hi, hi + stride)
+    ]
 
 
-def _stride(rule: RuleTable, j: int) -> int:
+class ColumnFacts(NamedTuple):
+    """essential: some column is not constant. permutive: every column is
+    a bijection (brute force, the criteria's ground truth, never derived
+    from `difference`). difference: g with g(0) = 0 when every column is a
+    translate of g, i.e. f = g(x_j) + rest; else None."""
+
+    essential: bool
+    permutive: bool
+    difference: tuple[int, ...] | None
+
+
+def _position_facts(rule: RuleTable, j: int) -> ColumnFacts:
+    m = rule.m
+    first, *rest = _columns(rule, j)
+    difference = tuple([(v - first[0]) % m for v in first])
+    separable = True
+    distinct = len(set(first))
+    essential, permutive = distinct > 1, distinct == m
+    for column in rest:
+        if separable:
+            c = column[0]
+            separable = column == tuple([(c + v) % m for v in difference])
+        if permutive or not essential:
+            distinct = len(set(column))
+            essential = essential or distinct > 1
+            permutive = permutive and distinct == m
+        elif not separable:
+            break
+    return ColumnFacts(essential, permutive, difference if separable else None)
+
+
+@functools.lru_cache(maxsize=256)
+def _column_pass(rule: RuleTable) -> tuple[ColumnFacts, ...]:
+    """Column facts per position, memoised for the rule just classified."""
+    return tuple(_position_facts(rule, j) for j in range(1, rule.nvars + 1))
+
+
+def _facts_at(rule: RuleTable, j: int) -> ColumnFacts:
     if not 1 <= j <= rule.nvars:
         raise ValueError(f"position {j} out of range [1, {rule.nvars}]")
-    return rule.m ** (rule.nvars - j)
+    return _column_pass(rule)[j - 1]
 
 
 def essential_positions(rule: RuleTable) -> tuple[int, ...]:
     """1-based positions the rule actually depends on."""
-    found = []
-    size = len(rule.table)
-    for j in range(1, rule.nvars + 1):
-        stride = _stride(rule, j)
-        for base in _context_bases(size, rule.m, stride):
-            first = rule.table[base]
-            if any(rule.table[base + v * stride] != first for v in range(1, rule.m)):
-                found.append(j)
-                break
-    return tuple(found)
+    return tuple(j for j, f in enumerate(_column_pass(rule), 1) if f.essential)
 
 
 def is_permutive_at(rule: RuleTable, j: int) -> bool:
@@ -197,45 +234,29 @@ def is_permutive_at(rule: RuleTable, j: int) -> bool:
     coordinate j must act as a bijection of Z_m. Ground truth for all
     algebraic permutivity criteria.
     """
-    stride = _stride(rule, j)
-    size = len(rule.table)
-    m = rule.m
-    for base in _context_bases(size, m, stride):
-        seen = {rule.table[base + v * stride] for v in range(m)}
-        if len(seen) != m:
-            return False
-    return True
+    return _facts_at(rule, j).permutive
 
 
 def permutivity_witness(rule: RuleTable, j: int) -> dict | None:
     """A context where coordinate j fails to be a bijection: two window
     values with equal outputs. None when the rule is permutive at j.
     """
-    stride = _stride(rule, j)
-    size = len(rule.table)
+    if _facts_at(rule, j).permutive:
+        return None
     m = rule.m
-    for base in _context_bases(size, m, stride):
+    for k, column in enumerate(_columns(rule, j)):
         byval: dict[int, int] = {}
-        for v in range(m):
-            out = rule.table[base + v * stride]
+        for v, out in enumerate(column):
             if out in byval:
-                context = _index_to_window(base, m, rule.nvars)
                 return {
                     "position": j,
-                    "context": [c for i, c in enumerate(context) if i != j - 1],
+                    # column k's context: the other coordinates, k's base-m digits
+                    "context": [k // m**e % m for e in reversed(range(rule.nvars - 1))],
                     "colliding_values": [byval[out], v],
                     "output": out,
                 }
             byval[out] = v
-    return None
-
-
-def _index_to_window(idx: int, m: int, nvars: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(nvars):
-        idx, rem = divmod(idx, m)
-        digits.append(rem)
-    return tuple(reversed(digits))
+    raise AssertionError("unreachable: a non-permutive position has a collision")
 
 
 def separable_component_at(rule: RuleTable, j: int) -> tuple[int, ...] | None:
@@ -244,20 +265,7 @@ def separable_component_at(rule: RuleTable, j: int) -> tuple[int, ...] | None:
     exists iff the difference f(..., x, ...) - f(..., 0, ...) does not
     depend on the context.
     """
-    stride = _stride(rule, j)
-    size = len(rule.table)
-    m = rule.m
-    component: tuple[int, ...] | None = None
-    for base in _context_bases(size, m, stride):
-        anchor = rule.table[base]
-        diff = tuple(
-            (rule.table[base + v * stride] - anchor) % m for v in range(m)
-        )
-        if component is None:
-            component = diff
-        elif diff != component:
-            return None
-    return component
+    return _facts_at(rule, j).difference
 
 
 @dataclass(frozen=True)
@@ -297,16 +305,15 @@ def extract_monomial_at(rule: RuleTable, j: int) -> MonomialComponent | None:
     exponent is the smallest one reproducing g, searched up to the sound
     bound from zmod.exponent_search_bound.
     """
-    g = separable_component_at(rule, j)
-    if g is None:
+    return _monomial(rule.m, j, separable_component_at(rule, j))
+
+
+def _monomial(m: int, j: int, g: tuple[int, ...] | None) -> MonomialComponent | None:
+    if g is None or g[1] == 0:
         return None
-    a = g[1]
-    if a == 0:
-        return None
-    m = rule.m
     for q in range(1, exponent_search_bound(m) + 1):
-        if monomial_table(a, q, m) == g:
-            return MonomialComponent(j, a, q)
+        if monomial_table(g[1], q, m) == g:
+            return MonomialComponent(j, g[1], q)
     return None
 
 
@@ -321,10 +328,12 @@ def classify(rule: RuleTable) -> SeparationClass:
     a sum of monomials.
     shift_like: totally separated with a single essential position.
     """
-    essential = essential_positions(rule)
-    components: list[MonomialComponent | None] = []
-    for j in range(1, rule.nvars + 1):
-        components.append(extract_monomial_at(rule, j) if j in essential else None)
+    facts = _column_pass(rule)
+    essential = tuple(j for j, f in enumerate(facts, 1) if f.essential)
+    components = [
+        _monomial(rule.m, j, f.difference) if f.essential else None
+        for j, f in enumerate(facts, 1)
+    ]
     if essential:
         ell: int | None = essential[0]
         r: int | None = essential[-1]
@@ -359,15 +368,10 @@ def interior_table(rule: RuleTable, ell: int, r: int) -> tuple[int, ...]:
     """
     if not 1 <= ell < r <= rule.nvars:
         raise ValueError(f"need 1 <= ell < r <= {rule.nvars}, got ({ell}, {r})")
-    interior = range(ell + 1, r)
-    m = rule.m
-    values = []
-    for assignment in itertools.product(range(m), repeat=len(interior)):
-        window = [0] * rule.nvars
-        for pos, val in zip(interior, assignment):
-            window[pos - 1] = val
-        values.append(rule.evaluate(window))
-    return tuple(values)
+    # the windows that are zero outside (ell, r) sit at the multiples of
+    # the stride of position r - 1 below the stride of position ell
+    m, n = rule.m, rule.nvars
+    return rule.table[: m ** (n - ell) : m ** (n - r + 1)]
 
 
 # --- rule builders -----------------------------------------------------------
@@ -380,18 +384,9 @@ def build_rule(
     caps: Caps = DEFAULT_CAPS,
 ) -> RuleTable:
     """RuleTable from a window callable; values are reduced mod m."""
-    check_modulus(m)
-    size = m ** (d + 1)
-    if size > caps.table_entries:
-        raise CapExceeded(
-            f"rule table needs {size} entries, cap is {caps.table_entries}"
-        )
-    return RuleTable.make(
-        m,
-        d,
-        (fn(w) % m for w in itertools.product(range(m), repeat=d + 1)),
-        caps,
-    )
+    check_modulus(m)  # make checks d and the table cap before it reads a value
+    windows = itertools.product(range(m), repeat=d + 1)
+    return RuleTable.make(m, d, (fn(w) % m for w in windows), caps)
 
 
 def monomial_rule(
@@ -667,8 +662,6 @@ def parse_table_text(text: str, caps: Caps = DEFAULT_CAPS) -> RuleTable:
             raise CapExceeded(
                 f"rule table needs {size} entries, cap is {caps.table_entries}"
             )
-    except CapExceeded:
-        raise
     except ValueError as exc:
         raise RuleParseError(str(exc), fields[0][1]) from exc
     entries = values[2:]

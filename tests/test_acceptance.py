@@ -39,7 +39,6 @@ from ca_verify.criteria import (
     audit,
     conjecture_scan,
     criterion_totient_permutivity,
-    permutive_bruteforce,
 )
 from ca_verify.decide import (
     bipermutive_collision,
@@ -56,6 +55,7 @@ from ca_verify.poly import (
 from ca_verify.rule import (
     CyclicWord,
     classify,
+    is_permutive_at,
     lr_separated_rule,
     monomial_rule,
     parse_rule,
@@ -89,8 +89,8 @@ def test_ac01_quadratic_ends_report():
     """
     with _criterion(1, "quadratic-ends rule over Z_4", budget=1.0):
         rule, expr = parse_rule("m=4; d=2; f=x1^2+x2+x3^2")
-        assert not permutive_bruteforce(rule, 1)
-        assert not permutive_bruteforce(rule, 3)
+        assert not is_permutive_at(rule, 1)
+        assert not is_permutive_at(rule, 3)
         report = analyze(rule, expression=expr)
         assert report["surjective"]["verdict"] is True
         permutive = {row["position"]: row["verdict"] for row in report["permutive"]}
@@ -283,7 +283,7 @@ def test_ac06_totient_equivalence_and_mod4_audit():
                     verdict = criterion_totient_permutivity(rule, classify(rule), 1)
                     assert verdict.applicable
                     predicted = verdict.canonical_value == HOLDS
-                    assert predicted == permutive_bruteforce(rule, 1), (m, a, q)
+                    assert predicted == is_permutive_at(rule, 1), (m, a, q)
 
         spec = FamilySpec(kind="shift_like", moduli=(4,), d=0, q_min=1, q_max=12)
         rows = list(audit(spec))
@@ -353,8 +353,8 @@ def test_ac08_bipermutive_collisions():
                                 )
                                 enumerated += 1
                                 if not (
-                                    permutive_bruteforce(rule, ell)
-                                    and permutive_bruteforce(rule, r)
+                                    is_permutive_at(rule, ell)
+                                    and is_permutive_at(rule, r)
                                 ):
                                     continue
                                 cls = classify(rule)

@@ -29,12 +29,18 @@ from ca_verify.criteria import (
     enumerate_family,
     family_size,
     parse_family,
-    permutive_bruteforce,
     run_criteria,
     sufficiency_violation_on_prime,
 )
 from ca_verify.decide import decide_surjective
-from ca_verify.rule import classify, parse_rule, sum_rule
+from ca_verify.criteria import _hermite_verdict
+from ca_verify.rule import (
+    classify,
+    is_permutive_at,
+    parse_rule,
+    separable_component_at,
+    sum_rule,
+)
 from ca_verify.zmod import units
 
 
@@ -67,12 +73,38 @@ def test_verdict_requires_note_when_not_applicable():
 
 def test_permutive_bruteforce_bounds():
     rule, _ = parse_rule("m=3; d=1; f=x1+x2")
-    assert permutive_bruteforce(rule, 1)
+    assert is_permutive_at(rule, 1)
     with pytest.raises(ValueError):
-        permutive_bruteforce(rule, 3)
+        is_permutive_at(rule, 3)
 
 
 # --- frozen verdicts on the worked rules ------------------------------------------
+
+
+# Both rules have the component table (0, 1, 2, 3, 4) at position 1; only
+# the written exponent separates their raw Hermite readings (x^5 fails the
+# degree clause over Z_5, while its canonical form x holds).
+SHARED_HERMITE_COMPONENT = {
+    "m=5; d=1; f=x1+x2": (HOLDS, HOLDS),
+    "m=5; d=1; f=x1^5+x2": (FAILS, HOLDS),
+}
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["x1-first", "x1^5-first"])
+def test_hermite_memo_keys_on_the_written_exponent(order):
+    _hermite_verdict.cache_clear()
+    for src, (raw, canonical) in list(SHARED_HERMITE_COMPONENT.items())[::order]:
+        rule, expr = parse_rule(src)
+        assert separable_component_at(rule, 1) == (0, 1, 2, 3, 4)
+        row = audit_row(rule, rule_id=src, raw_exponents=expr.raw_exponents())
+        for rendered in (report(src), row):
+            (entry,) = [
+                c
+                for c in rendered["criteria"]
+                if c["criterion"] == "hermite_permutivity" and c["position"] == 1
+            ]
+            assert entry["value"] == entry["raw_value"] == raw, src
+            assert entry["canonical_value"] == canonical, src
 
 
 def test_quadratic_mod4_verdicts():
@@ -281,7 +313,7 @@ def test_totient_criterion_one_sided_everywhere_exact_on_primes(m, q):
         rule = monomial_rule(m, 0, 1, a, q)
         cls = classify(rule)
         verdict = criterion_totient_permutivity(rule, cls, 1, raw_exponents={1: (a, q)})
-        oracle = permutive_bruteforce(rule, 1)
+        oracle = is_permutive_at(rule, 1)
         if verdict.canonical_value == FAILS:
             assert not oracle
         if is_prime(m):

@@ -9,6 +9,7 @@ anchors at radius d // 2 cells of lookback.
 import pytest
 from hypothesis import given, strategies as st
 
+import column_oracle
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.rule import (
     CyclicWord,
@@ -25,6 +26,7 @@ from ca_verify.rule import (
     parse_table_text,
     permutivity_witness,
     rule_from_code,
+    separable_component_at,
     sum_rule,
     table_file_text,
 )
@@ -207,6 +209,38 @@ def test_permutive_positions_are_essential(rule):
 
 
 # --- classification -------------------------------------------------------------
+
+
+def assert_column_pass_matches_oracle(rule):
+    """The single column pass answers every per-position question, and
+    classify as a whole, exactly as the separate walks did.
+    """
+    for j in range(1, rule.nvars + 1):
+        permutive = column_oracle.is_permutive_at(rule, j)
+        assert is_permutive_at(rule, j) == permutive, j
+        assert separable_component_at(rule, j) == column_oracle.separable_component_at(
+            rule, j
+        ), j
+        witness = permutivity_witness(rule, j)
+        assert (witness is None) == permutive, j
+        if witness is not None:
+            context = witness["context"]
+            for v in witness["colliding_values"]:
+                window = context[: j - 1] + [v] + context[j - 1 :]
+                assert rule.evaluate(window) == witness["output"], j
+    assert essential_positions(rule) == column_oracle.essential_positions(rule)
+    assert classify(rule) == column_oracle.classify(rule)
+
+
+@pytest.mark.parametrize("m, d", [(3, 1), (2, 2)])
+def test_column_pass_matches_oracle_exhaustive(m, d):
+    for code in range(m ** (m ** (d + 1))):
+        assert_column_pass_matches_oracle(rule_from_code(m, d, code))
+
+
+@given(small_rules())
+def test_column_pass_matches_oracle(rule):
+    assert_column_pass_matches_oracle(rule)
 
 
 def test_classify_quadratic_example():
