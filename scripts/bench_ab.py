@@ -26,6 +26,16 @@ against that metric's bound in BENCHMARK.json:
   * gain: whether the candidate won at least 9 of every 10 pairs and its
     median is better than the base's by more than the base's IQR.
 
+Before the first pair, both trees are compiled once with
+`python -m compileall -q src perfbench`. The exported base tree has no
+bytecode, and where PYTHONDONTWRITEBYTECODE is set no run would write
+any, so every base run would otherwise recompile the package inside its
+setup_s; compileall writes bytecode even under that variable.
+
+With --trace 1, compare the traced per-layer values of the two sides
+directly. A traced audit_exhaustive run covers one fixed sweep however
+fast either side is, so dividing by `attempted` skews the comparison.
+
 The raw runs and the summary go to --out as JSON. Workloads,
 checks and bounds are those of the checkout's BENCHMARK.json, unchanged.
 
@@ -58,6 +68,13 @@ def export(rev: str, target: str) -> None:
     os.mkdir(tree)
     subprocess.run(["tar", "-xf", archive, "-C", tree], check=True)
     os.remove(archive)
+
+
+def compile_tree(tree: str) -> None:
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+        cwd=tree, check=True,
+    )
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -179,6 +196,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
         export(base_rev, scratch)
         base_tree = os.path.join(scratch, "tree")
+        for tree in (base_tree, ROOT):
+            compile_tree(tree)
         for workload in workloads:
             pairs = []
             for i, seed in enumerate(range(args.first_seed, args.first_seed + args.pairs)):

@@ -5,7 +5,9 @@ Exit codes are part of the contract: 0 success, 1 parse or usage error,
 2 resource cap exceeded, 3 --expect mismatch, 4 sufficiency violation on
 a prime modulus. JSON output is canonical (sorted keys) so identical
 invocations are byte-identical; streaming commands emit one compact JSON
-object per line.
+object per line. An audit line joins the memoised JSON text of each
+criterion verdict and encodes only the rest of its row, to the same bytes
+as encoding the whole row.
 """
 
 from __future__ import annotations
@@ -98,6 +100,21 @@ def _write_json(doc: dict, path: str | None) -> None:
 
 def _write_line(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _write_row(row: dict) -> None:
+    """An audit row as one line, the same bytes as _write_line(row).
+
+    `criteria` sorts first among the row's keys, and each of its verdict
+    dicts carries its own compact text, so only the rest of the row goes
+    through the encoder.
+    """
+    rest = row.copy()
+    criteria = rest.pop("criteria")
+    sys.stdout.write(
+        '{"criteria":[' + ",".join([c.json for c in criteria]) + "],"
+        + json.dumps(rest, sort_keys=True, separators=(",", ":"))[1:] + "\n"
+    )
 
 
 def _write_text(lines: list[str], path: str | None) -> None:
@@ -382,7 +399,7 @@ def cmd_audit(ns, caps: Caps, argv: Sequence[str]) -> int:
     violation = False
     for row in audit(spec, caps, jobs=ns.jobs):
         if ns.format == "json":
-            _write_line(row)
+            _write_row(row)
         else:
             flags = sorted({rec["criterion"] for rec in row["discrepancies"]})
             summary = f" discrepancies={','.join(flags)}" if flags else ""

@@ -15,7 +15,8 @@ the disagreements between its predictions and those oracles, as
 discrepancy records carrying the oracle witness. Discrepancies are never
 auto-resolved. Classify, permutivity and the Hermite component read one
 column pass of the table; the Hermite verdict and each verdict's dict are
-memoised. `analyze` renders the evaluation as the full report and
+memoised, the dict carrying its canonical compact JSON text for the audit
+writer (also across a pool). `analyze` renders the evaluation as the full report and
 `audit_row` as the slim audit row. Audits and conjecture scans map one
 worker over the validated rules of a family, serially or on a process
 pool, in enumeration order.
@@ -24,6 +25,7 @@ pool, in enumeration order.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
@@ -71,6 +73,18 @@ BIJECTIVITY = "bijectivity_characterization"
 EVEN_EXPONENTS = "even_exponents_obstruction"
 
 
+class VerdictDict(dict):
+    """A verdict's dict that also carries `json`, its canonical compact
+    JSON text (sorted keys, no spaces), so that a writer joins the text
+    instead of encoding the dict again. It compares equal to a plain dict
+    and keeps the text when pickled to or from a pool worker.
+    """
+
+    def __init__(self, fields: dict) -> None:
+        super().__init__(fields)
+        self.json = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class CriterionVerdict:
     """Outcome of one criterion on one rule.
@@ -95,21 +109,23 @@ class CriterionVerdict:
     def applicable(self) -> bool:
         return self.value != NOT_APPLICABLE
 
-    def as_dict(self) -> dict:
+    def as_dict(self) -> VerdictDict:
         """Built once per verdict and shared: verdicts are frozen and few
         (about 36 per audit sweep). Read the dict, never mutate it."""
         return self._dict
 
     @cached_property
-    def _dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "position": self.position,
-            "value": self.value,
-            "raw_value": self.raw_value,
-            "canonical_value": self.canonical_value,
-            "note": self.note,
-        }
+    def _dict(self) -> VerdictDict:
+        return VerdictDict(
+            {
+                "criterion": self.criterion,
+                "position": self.position,
+                "value": self.value,
+                "raw_value": self.raw_value,
+                "canonical_value": self.canonical_value,
+                "note": self.note,
+            }
+        )
 
 
 # Verdicts are frozen and few distinct ones exist (criterion, position,

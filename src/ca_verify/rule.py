@@ -104,12 +104,12 @@ class RuleTable:
             raise CapExceeded(
                 f"rule table needs {size} entries, cap is {caps.table_entries}"
             )
-        entries = tuple(int(v) for v in values)
+        entries = tuple(map(int, values))
         if len(entries) != size:
             raise ValueError(f"expected {size} table entries, got {len(entries)}")
-        for v in entries:
-            if not 0 <= v < m:
-                raise ValueError(f"table entry {v} out of range for Z_{m}")
+        if min(entries) < 0 or max(entries) >= m:
+            bad = next(v for v in entries if not 0 <= v < m)
+            raise ValueError(f"table entry {bad} out of range for Z_{m}")
         return cls(m, d, entries)
 
     @property
@@ -317,7 +317,7 @@ def _monomial(m: int, j: int, g: tuple[int, ...] | None) -> MonomialComponent | 
     return None
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.lru_cache(maxsize=256)
 def classify(rule: RuleTable) -> SeparationClass:
     """Detected additive structure of a rule.
 

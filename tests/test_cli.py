@@ -12,6 +12,7 @@ import pytest
 
 from ca_verify import schema
 from ca_verify.cli import build_parser, main
+from ca_verify.criteria import audit, parse_family
 
 RULE_A = "m=4; d=2; f=x1^2+x2+x3^2"
 
@@ -167,6 +168,28 @@ def test_audit_streams_schema_valid_rows(tmp_path, capsys):
         assert json.dumps(row, sort_keys=True, separators=(",", ":")) == line
     flagged = [json.loads(l)["id"] for l in lines if json.loads(l)["discrepancies"]]
     assert flagged == ["m4-d0-j1-a1-q3", "m4-d0-j1-a3-q3"]
+
+    # At either job count, each line is the canonical compact encoding of
+    # the row that criteria.audit yields; the first two families carry
+    # discrepancy records with witnesses.
+    specs = (
+        "kind=shift_like\nmoduli=4\nq_max=6\n",
+        "kind=lr_separated\nmoduli=5\nd=2\nq_min=4\nq_max=5\npi=sample:2\n",
+        "kind=all_tables\nmoduli=2\nd=2\n",
+    )
+    validator = jsonschema.validators.validator_for(schema.AUDIT_ROW)(schema.AUDIT_ROW)
+    for text in specs:
+        fam.write_text(text, encoding="ascii")
+        rows = list(audit(parse_family(text)))
+        expected = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
+        if "all_tables" not in text:
+            assert any(row["discrepancies"] for row in rows)
+        for row in rows:
+            validator.validate(row)
+        for jobs in ("1", "2"):
+            code, out, _ = run(capsys, "audit", "--family", str(fam), "--jobs", jobs)
+            assert code == 0
+            assert out.splitlines() == expected
 
 
 def test_audit_missing_family_file_exits_1(capsys):

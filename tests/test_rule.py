@@ -51,8 +51,12 @@ def su(src):
 def test_table_make_validates():
     with pytest.raises(ValueError):
         RuleTable.make(3, 1, (0, 1, 2))  # 9 entries needed
-    with pytest.raises(ValueError):
-        RuleTable.make(3, 0, (0, 3, 1))  # out of range
+    with pytest.raises(ValueError, match=r"^table entry 3 out of range for Z_3$"):
+        RuleTable.make(3, 0, (0, 3, 1))  # too large
+    with pytest.raises(ValueError, match=r"^table entry -1 out of range for Z_3$"):
+        RuleTable.make(3, 0, (0, 1, -1))  # negative
+    with pytest.raises(ValueError, match=r"^table entry 7 out of range for Z_3$"):
+        RuleTable.make(3, 0, (7, -2, 5))  # the first of several offenders
     with pytest.raises(CapExceeded):
         tight = Caps(
             table_entries=8,
