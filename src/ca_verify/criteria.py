@@ -16,10 +16,10 @@ discrepancy records carrying the oracle witness. Discrepancies are never
 auto-resolved. Classify, permutivity and the Hermite component read one
 column pass of the table; the Hermite verdict and each verdict's dict are
 memoised, the dict carrying its canonical compact JSON text for the audit
-writer (also across a pool). `analyze` renders the evaluation as the full report and
-`audit_row` as the slim audit row. Audits and conjecture scans map one
-worker over the validated rules of a family, serially or on a process
-pool, in enumeration order.
+writer (also across a pool). `analyze` renders the evaluation as the full
+report and `audit_row` as the slim audit row. Audits and conjecture scans
+map one worker over the validated rules of a family, serially or on a
+process pool, in enumeration order.
 """
 
 from __future__ import annotations
