@@ -3,9 +3,11 @@ cross-check both deciders against brute-force oracles.
 
 The surjectivity oracle counts preimages of every word up to a given
 length. Injectivity is checked one-sidedly: an "injective" verdict must
-never coexist with a periodic collision, and every "not injective"
-verdict must carry a witness that validates. Disagreements are printed
-and make the script exit nonzero.
+never coexist with a periodic collision. Every "not surjective" and
+every "not injective" verdict must carry a witness that validates; the
+witnesses are read after the verdicts, so a witness the deciders search
+for only on its first read is searched for and checked too.
+Disagreements are printed and make the script exit nonzero.
 
 Example:
     python3 scripts/sweep_small_rules.py --m 3 --d 1 --word-length 4
@@ -72,21 +74,24 @@ def main(argv=None) -> int:
     for code in range(total):
         rule = rule_from_code(args.m, args.d, code)
         balanced = all(count_preimages(rule, w) == expected for w in words)
-        surj = decide_surjective(rule).surjective
+        surj_verdict = decide_surjective(rule)
+        surj = surj_verdict.surjective
         if surj != balanced:
             disagreements += 1
             print(f"SURJECTIVITY DISAGREEMENT at code {code}: "
                   f"decider={surj} balance={balanced}")
-        verdict = decide_injective(rule)
+        verdict = decide_injective(rule, surjectivity=surj_verdict)
         inj = verdict.injective
         if inj and periodic_collision(rule, args.max_period):
             disagreements += 1
             print(f"INJECTIVITY DISAGREEMENT at code {code}: "
                   f"decider=True but a periodic collision exists")
-        if not inj and not (verdict.witness and verdict.witness.validate(rule)):
-            disagreements += 1
-            print(f"WITNESS FAILURE at code {code}: "
-                  f"non-injective verdict without a validating witness")
+        for prop, holds, result in (("surjective", surj, surj_verdict),
+                                    ("injective", inj, verdict)):
+            if not holds and not (result.witness and result.witness.validate(rule)):
+                disagreements += 1
+                print(f"WITNESS FAILURE at code {code}: "
+                      f"non-{prop} verdict without a validating witness")
         surjective += surj
         injective += inj
         if args.progress and code and code % args.progress == 0:

@@ -492,41 +492,42 @@ def find_discrepancies(
 ) -> list[dict]:
     """Disagreements between applicable criterion predictions and the
     oracle verdicts, each carrying the oracle witness where one exists.
+    Only a disagreement reads a witness, so a witness the deciders left
+    to be searched for on first read is searched for only then.
     """
+    observed = {
+        SURJECTIVE: surjective.surjective,
+        INJECTIVE: injective.injective,
+        BIJECTIVE: injective.injective and surjective.surjective,
+    }
     records: list[dict] = []
     for verdict in verdicts:
         for prop, expected in predicted_facts(verdict):
-            if prop == PERMUTIVE:
-                observed = permutive[verdict.position]
-                witness = None
-                if not observed:
-                    collision = permutivity_witness(rule, verdict.position)
-                    witness = {"kind": "permutivity_collision", **collision}
-            elif prop == SURJECTIVE:
-                observed = surjective.surjective
-                witness = None if observed else witness_to_dict(surjective.witness)
-            elif prop == INJECTIVE:
-                observed = injective.injective
-                witness = None if observed else witness_to_dict(injective.witness)
-            else:
-                observed = injective.injective and surjective.surjective
-                witness = None
-                if not injective.injective:
-                    witness = witness_to_dict(injective.witness)
-                elif not surjective.surjective:
-                    witness = witness_to_dict(surjective.witness)
-            if observed != expected:
-                records.append(
-                    {
-                        "criterion": verdict.criterion,
-                        "position": verdict.position,
-                        "property": prop,
-                        "expected": expected,
-                        "observed": observed,
-                        "witness": witness,
-                    }
-                )
+            holds = permutive[verdict.position] if prop == PERMUTIVE else observed[prop]
+            if holds == expected:
+                continue
+            records.append(
+                {
+                    "criterion": verdict.criterion,
+                    "position": verdict.position,
+                    "property": prop,
+                    "expected": expected,
+                    "observed": holds,
+                    "witness": None if holds else _oracle_witness(
+                        rule, prop, verdict.position, surjective, injective
+                    ),
+                }
+            )
     return records
+
+
+def _oracle_witness(rule: RuleTable, prop: str, position, surjective, injective) -> dict:
+    """The oracle's witness that the rule lacks `prop`."""
+    if prop == PERMUTIVE:
+        return {"kind": "permutivity_collision", **permutivity_witness(rule, position)}
+    if prop == SURJECTIVE or (prop == BIJECTIVE and injective.injective):
+        return witness_to_dict(surjective.witness)
+    return witness_to_dict(injective.witness)
 
 
 # --- analysis reports -----------------------------------------------------------

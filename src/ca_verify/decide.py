@@ -16,6 +16,15 @@ cycle. Such a cycle never meets the diagonal, and the graph is symmetric
 under swapping its two tracks, so one cycle search over the unordered
 off-diagonal pairs settles it.
 
+Most tables are settled before any search. By the balance theorem
+(Hedlund 1969) a surjective rule gives every letter exactly m^d of its
+m^(d+1) windows, so one count of the table's letters refutes
+surjectivity, and with it injectivity, for every unbalanced table. Such
+a verdict comes first: its unbalanced word is the first letter whose
+count is off, and its diamond is searched for only when the injectivity
+witness is read. A balanced table goes through the diamond search, which
+decides, and its witnesses are found at once.
+
 Negative verdicts come with finite witnesses that re-validate against
 the rule:
 
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
@@ -81,18 +91,53 @@ class PeriodicPair:
         ).config_equal(rule.apply_periodic(self.y))
 
 
+class _Deferred(partial):
+    """A witness search, run on the first read of the field holding it."""
+
+
+class _Witness:
+    """The witness field of a decider result. It holds a witness, or a
+    _Deferred search that its first read replaces by the witness found;
+    a search that raises stays, so every read raises the same way.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, result, owner=None):
+        if result is None:  # class access: tells dataclass there is no default
+            raise AttributeError(self.slot)
+        value = result.__dict__[self.slot]
+        if isinstance(value, _Deferred):
+            value = result.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, result, value) -> None:
+        result.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class SurjectivityResult:
+    """The surjectivity verdict and, when negative, the shortest
+    unbalanced word; both are known when decide_surjective returns.
+    """
+
     surjective: bool
     witness: UnbalancedWord | None
-    # the diamond behind a negative verdict, for decide_injective to reuse
+    # the diamond that decided a balanced table, for decide_injective to reuse
     diamond: Diamond | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class InjectivityResult:
+    """The injectivity verdict and its witness. The witness may still be
+    a deferred diamond search (decide_injective handed a verdict read off
+    an unbalanced table), which runs on the first read of `witness`;
+    == and repr read it too.
+    """
+
     injective: bool
-    witness: Diamond | PeriodicPair | None
+    witness: Diamond | PeriodicPair | None = _Witness()
 
 
 def _count_step(rule: RuleTable, counts: Sequence[int], letter: int) -> list[int]:
@@ -130,13 +175,25 @@ def count_preimages(rule: RuleTable, word: Sequence[int]) -> int:
 
 
 def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> SurjectivityResult:
-    """Exact surjectivity by the Garden-of-Eden theorem (Moore 1962,
-    Myhill 1963): a rule is surjective iff it has no diamond, that is iff
-    no path of the pair graph leaves the diagonal along an unequal letter
-    pair and comes back to it. The breadth-first diamond search visits at
-    most m^(2d) pair vertices. Negative verdicts carry the shortest
-    unbalanced word, found by a separate search bounded by subset_states.
+    """Exact surjectivity, verdict first. A table in which some letter has
+    other than m^d windows is not surjective (balance, Hedlund 1969), and
+    that letter is its shortest unbalanced word: no search runs. Otherwise
+    the Garden-of-Eden theorem (Moore 1962, Myhill 1963) decides: a rule
+    is surjective iff it has no diamond, that is iff no path of the pair
+    graph leaves the diagonal along an unequal letter pair and comes back
+    to it. The breadth-first diamond search visits at most m^(2d) pair
+    vertices; a diamond it finds makes the verdict negative, and the
+    shortest unbalanced word is then found by a separate search bounded by
+    subset_states. A rule with more than caps.pair_vertices de Bruijn
+    vertices is refused before the count, as the diamond search refuses it.
     """
+    m, table = rule.m, rule.table
+    n = m**rule.d
+    _check_start_vertices(n, caps)
+    for letter in range(m):
+        count = table.count(letter)
+        if count != n:
+            return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
     diamond = _shortest_diamond(rule, caps, _pair_tables(rule))
     if diamond is None:
         return SurjectivityResult(True, None)
@@ -222,6 +279,12 @@ def _letter_path(
     return pid, u, v
 
 
+def _check_start_vertices(n: int, caps: Caps) -> None:
+    """Refuse a diamond search whose n diagonal start vertices exceed the cap."""
+    if n > caps.pair_vertices:
+        raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
+
+
 def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamond | None:
     """Breadth-first search of the pair graph, expanded on demand from
     the diagonal: out of every diagonal vertex (in order) along an
@@ -235,8 +298,7 @@ def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamo
     """
     m, d = rule.m, rule.d
     n = m**d
-    if n > caps.pair_vertices:
-        raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
+    _check_start_vertices(n, caps)
     rows, tails = tables
     parents: dict[int, tuple[int, int, int]] = {}
     frontier = deque(range(0, n * n, n + 1))
@@ -263,6 +325,14 @@ def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamo
                     )
                 frontier.append(head)
     return None
+
+
+def _diamond_of_nonsurjective(rule: RuleTable, caps: Caps) -> Diamond:
+    """The shortest diamond of a rule known not to be surjective."""
+    diamond = _shortest_diamond(rule, caps, _pair_tables(rule))
+    if diamond is None:
+        raise AssertionError("unreachable: non-surjective rules have a diamond")
+    return diamond
 
 
 def _offdiagonal_cycle_pair(
@@ -359,7 +429,11 @@ def decide_injective(
     common background and the images agree everywhere. So the diamond
     search runs first, and a diamond it finds is the witness; this covers
     every non-surjective rule (Moore-Myhill). A `surjectivity` result of
-    decide_surjective on the same rule and caps hands its search over.
+    decide_surjective on the same rule and caps hands its search over:
+    a negative one settles the verdict at once, and when it was read off
+    an unbalanced table, with no diamond searched, the witness diamond is
+    searched for on the first read of `witness`. That search alone can
+    then exceed caps.pair_vertices, and the read raises CapExceeded.
 
     Without a diamond, two distinct configurations with equal images
     differ at infinitely many cells, so their bi-infinite pair-graph path
@@ -374,10 +448,13 @@ def decide_injective(
     and the mirror image of that path closes the cycle. So a quotient
     self-loop counts, even one whose only edge is (u, v) -> (v, u).
     """
-    if surjectivity is not None and surjectivity.diamond is not None:
-        return InjectivityResult(False, surjectivity.diamond)
+    if surjectivity is not None and not surjectivity.surjective:
+        diamond = surjectivity.diamond
+        if diamond is None:
+            diamond = _Deferred(_diamond_of_nonsurjective, rule, caps)
+        return InjectivityResult(False, diamond)
     tables = _pair_tables(rule)
-    if surjectivity is None or not surjectivity.surjective:
+    if surjectivity is None:
         diamond = _shortest_diamond(rule, caps, tables)
         if diamond is not None:
             return InjectivityResult(False, diamond)

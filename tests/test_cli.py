@@ -5,12 +5,13 @@ Everything runs in-process through main(argv) so the tests see the same
 code path as the installed entry point without subprocess overhead.
 """
 
+import hashlib
 import json
 
 import jsonschema
 import pytest
 
-from ca_verify import schema
+from ca_verify import decide, schema
 from ca_verify.cli import build_parser, main
 from ca_verify.criteria import audit, parse_family
 
@@ -190,6 +191,42 @@ def test_audit_streams_schema_valid_rows(tmp_path, capsys):
             code, out, _ = run(capsys, "audit", "--family", str(fam), "--jobs", jobs)
             assert code == 0
             assert out.splitlines() == expected
+
+
+def test_audit_searches_only_balanced_tables(tmp_path, capsys, monkeypatch):
+    """Of the 19683 m=3, d=1 tables, 18003 are unbalanced and decided by
+    their letter counts; no audit row reads their witnesses. The diamond
+    search runs once per balanced table (1680), and the balance search
+    once per balanced table that has a diamond (1260).
+    """
+    calls = {"_shortest_diamond": 0, "shortest_unbalanced_word": 0}
+
+    def counted(name):
+        search = getattr(decide, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return search(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decide, name, counted(name))
+    fam = tmp_path / "family.txt"
+    fam.write_text("kind=all_tables\nmoduli=3\nd=1\n", encoding="ascii")
+    code, out, _ = run(capsys, "audit", "--family", str(fam), "--jobs", "1")
+    assert code == 0
+    assert out.count("\n") == 3**9
+    assert calls == {"_shortest_diamond": 1680, "shortest_unbalanced_word": 1260}
+
+    # a report renders both witnesses, the deferred diamond among them
+    code, out, _ = run(capsys, "analyze", "m=3; d=1; f=x1^2+x2^2")
+    assert code == 0
+    assert calls == {"_shortest_diamond": 1681, "shortest_unbalanced_word": 1260}
+    # sha256 of the report as built when every witness was searched eagerly
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "def554475c6d92a18d9c20d76911343d529cfd4d5d838df23dcaf9cbdd46d47b"
+    )
 
 
 def test_audit_missing_family_file_exits_1(capsys):

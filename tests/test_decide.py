@@ -18,15 +18,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
+from ca_verify.criteria import audit_row
 from ca_verify.decide import (
     BipermutiveCollision,
     Diamond,
     PeriodicPair,
+    SurjectivityResult,
     UnbalancedWord,
     bipermutive_collision,
     count_preimages,
     decide_injective,
     decide_surjective,
+    shortest_unbalanced_word,
 )
 from ca_verify.rule import (
     CyclicWord,
@@ -169,15 +172,29 @@ def test_surjectivity_verdicts_are_sound(rule):
         assert res.witness.count != rule.m**rule.d
 
 
+def assert_surjectivity_matches_subset_oracle(rule, label=""):
+    """The verdict, whether read off the letter counts or decided by the
+    diamond search, is the subset oracle's, and the witness, read after
+    the verdict, is the balance search's shortest unbalanced word.
+    """
+    res = decide_surjective(rule)
+    assert res.surjective == subset_surjective(rule), label
+    assert res.witness == shortest_unbalanced_word(rule), label
+
+
 def test_surjectivity_matches_subset_oracle_exhaustive_m3_d1():
     for code in range(3**9):
-        rule = rule_from_code(3, 1, code)
-        assert decide_surjective(rule).surjective == subset_surjective(rule), f"code {code}"
+        assert_surjectivity_matches_subset_oracle(rule_from_code(3, 1, code), f"code {code}")
+
+
+def test_surjectivity_matches_subset_oracle_exhaustive_m2_d2():
+    for code in range(2**8):
+        assert_surjectivity_matches_subset_oracle(rule_from_code(2, 2, code), f"code {code}")
 
 
 @given(small_rules())
 def test_surjectivity_matches_subset_oracle(rule):
-    assert decide_surjective(rule).surjective == subset_surjective(rule)
+    assert_surjectivity_matches_subset_oracle(rule)
 
 
 def test_unbalanced_word_validate_rejects_wrong_count():
@@ -408,3 +425,27 @@ def test_deciders_respect_caps():
     with pytest.raises(CapExceeded, match="pair search exceeded 8 vertices"):
         decide_surjective(surjective, dataclasses.replace(DEFAULT_CAPS, pair_vertices=8))
     assert decide_surjective(surjective, dataclasses.replace(DEFAULT_CAPS, pair_vertices=9)).surjective
+
+
+def test_caps_only_turn_refusals_into_verdicts():
+    """An unbalanced table is decided by its letter counts. The diamond
+    search, which used to run first and was refused part-way, now runs
+    only when the injectivity witness is read, and is refused then, with
+    the same message, at every read.
+    """
+    rule = su("m=3; d=1; f=x1^2+x2^2")
+    caps = dataclasses.replace(DEFAULT_CAPS, pair_vertices=3)
+    with pytest.raises(CapExceeded, match="pair search exceeded 3 vertices"):
+        decide_injective(rule, caps)
+    surjectivity = decide_surjective(rule, caps)
+    assert surjectivity == SurjectivityResult(False, UnbalancedWord((0,), 1, 3))
+    injectivity = decide_injective(rule, caps, surjectivity)
+    assert not injectivity.injective
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match="pair search exceeded 3 vertices"):
+            injectivity.witness
+    row = audit_row(rule, rule_id="x", caps=caps)
+    assert (row["surjective"], row["injective"], row["discrepancies"]) == (False, False, [])
+    assert decide_injective(rule, DEFAULT_CAPS, surjectivity).witness == Diamond(
+        u=(0, 1, 0), v=(0, 2, 0)
+    )
