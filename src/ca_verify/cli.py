@@ -90,12 +90,7 @@ def _document(
 
 
 def _write_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+    _write_text([json.dumps(doc, indent=2, sort_keys=True)], path)
 
 
 def _write_line(obj: dict) -> None:

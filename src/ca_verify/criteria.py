@@ -35,7 +35,6 @@ from math import gcd
 
 from .caps import Caps, DEFAULT_CAPS, CapExceeded
 from .decide import (
-    BipermutiveCollision,
     Diamond,
     InjectivityResult,
     PeriodicPair,
@@ -473,13 +472,6 @@ def witness_to_dict(witness) -> dict | None:
             "x": list(witness.x.cells),
             "y": list(witness.y.cells),
         }
-    if isinstance(witness, BipermutiveCollision):
-        return {
-            "kind": "bipermutive_collision",
-            "u": list(witness.u),
-            "v": list(witness.v),
-            "image_letter": witness.image_letter,
-        }
     raise TypeError(f"unknown witness type {type(witness).__name__}")
 
 
@@ -639,7 +631,6 @@ class FamilySpec:
     d: int = 0
     q_min: int = 1
     q_max: int = 1
-    coefficients: str = "units"
     pi: str = "all"
     seed: int = 0
 
@@ -656,8 +647,6 @@ class FamilySpec:
             raise ValueError("exponents start at 1")
         if self.q_max < self.q_min:
             raise ValueError("empty exponent range")
-        if self.coefficients != "units":
-            raise ValueError("only coefficients=units is supported")
         if self.pi != "all" and self._sample_size() is None:
             raise ValueError(f"pi must be 'all' or 'sample:N', got {self.pi!r}")
         if self.kind == "lr_separated" and self.d < 1:
@@ -671,15 +660,15 @@ class FamilySpec:
         return None
 
 
-_FAMILY_KEYS = ("kind", "moduli", "d", "q_min", "q_max", "coefficients", "pi", "seed")
+_FAMILY_KEYS = ("kind", "moduli", "d", "q_min", "q_max", "pi", "seed")
 
 
 def parse_family(text: str) -> FamilySpec:
     """Parse the line-oriented key=value family format.
 
     Recognized keys: kind, moduli (comma-separated), d, q_min, q_max,
-    coefficients, pi (all | sample:N), seed. Blank lines and `#` comments
-    are skipped. Unknown or repeated keys are errors.
+    pi (all | sample:N), seed. Blank lines and `#` comments are skipped.
+    Unknown or repeated keys are errors.
     """
     seen: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -722,7 +711,6 @@ def parse_family(text: str) -> FamilySpec:
         d=integer("d", 0),
         q_min=integer("q_min", 1),
         q_max=integer("q_max", 1),
-        coefficients=seen.get("coefficients", "units"),
         pi=seen.get("pi", "all"),
         seed=integer("seed", 0),
     )
@@ -748,6 +736,18 @@ def family_size(spec: FamilySpec) -> int:
     """Exact number of rules `spec` enumerates, computed arithmetically
     so cap checks never have to walk a huge family.
     """
+    return _family_size(spec, None)
+
+
+def _family_size(spec: FamilySpec, cap: int | None) -> int:
+    """family_size, except that with a cap no power above the cap is
+    built: m**s > cap whenever s >= cap.bit_length(), since m >= 2, so
+    cap + 1 stands in for it and the total still passes the cap.
+    """
+
+    def power(m: int, s: int) -> int:
+        return cap + 1 if cap is not None and s >= cap.bit_length() else m**s
+
     total = 0
     nq = spec.q_max - spec.q_min + 1
     for m in spec.moduli:
@@ -756,10 +756,10 @@ def family_size(spec: FamilySpec) -> int:
             total += (spec.d + 1) * nu * nq
         elif spec.kind == "lr_separated":
             cells = m ** (spec.d - 1)
-            n_pi = spec._sample_size() or m**cells
+            n_pi = spec._sample_size() or power(m, cells)
             total += nu * nu * nq * nq * n_pi
         else:
-            total += m ** (m ** (spec.d + 1))
+            total += power(m, m ** (spec.d + 1))
     return total
 
 
@@ -782,11 +782,8 @@ def enumerate_family(
     """Yield the family in deterministic order (moduli as given, then
     positions, coefficients, exponents, interior tables).
     """
-    size = family_size(spec)
-    if size > caps.family_rules:
-        raise CapExceeded(
-            f"family enumerates {size} rules, cap is {caps.family_rules}"
-        )
+    if _family_size(spec, caps.family_rules) > caps.family_rules:
+        raise CapExceeded(f"family enumerates more than {caps.family_rules} rules")
     qs = range(spec.q_min, spec.q_max + 1)
     for m in spec.moduli:
         if spec.kind == "shift_like":

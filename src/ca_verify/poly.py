@@ -127,25 +127,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return poly_scale(a, pow(a.coeffs[-1], -1, p))
 
 
-def frobenius_reduce(f: Poly, p: int | None = None) -> Poly:
-    """Reduce exponents with x**p == x on Z_p: replace e >= p by e - (p - 1).
-
-    The result has degree < p and induces the same function on Z_p.
-    """
-    if p is None:
-        p = f.m
-    if p != f.m or not is_prime(p):
-        raise ValueError(f"frobenius reduction needs the prime modulus of f, got {p}")
-    out = [0] * p
-    for e, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        while e >= p:
-            e -= p - 1
-        out[e] = (out[e] + c) % p
-    return Poly.make(p, out)
-
-
 def is_permutation_poly(f: Poly) -> bool:
     """Exhaustive test: does f permute Z_m?"""
     return len(set(f.table())) == f.m

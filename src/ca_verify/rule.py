@@ -129,10 +129,7 @@ class RuleTable:
             raise ValueError(
                 f"window length {len(window)} does not match arity {self.nvars}"
             )
-        idx = 0
-        for x in window:
-            idx = idx * self.m + (x % self.m)
-        return self.table[idx]
+        return self.f_star(window)[0]
 
     def f_star(self, word: Sequence[int]) -> tuple[int, ...]:
         """Apply the rule to every length-(d+1) window of a finite word.
@@ -158,14 +155,8 @@ class RuleTable:
         if word.m != self.m:
             raise ValueError(f"modulus mismatch: rule Z_{self.m}, word Z_{word.m}")
         n = len(word.cells)
-        rho = self.radius
-        out = []
-        for i in range(n):
-            idx = 0
-            for k in range(self.d + 1):
-                idx = idx * self.m + word.cells[(i - rho + k) % n]
-            out.append(self.table[idx])
-        return CyclicWord(self.m, tuple(out))
+        padded = [word.cells[(i - self.radius) % n] for i in range(n + self.d)]
+        return CyclicWord(self.m, self.f_star(padded))
 
 
 def _columns(rule: RuleTable, j: int) -> list[tuple[int, ...]]:
@@ -295,17 +286,6 @@ class SeparationClass:
         if not 1 <= j <= self.d + 1:
             raise ValueError(f"position {j} out of range [1, {self.d + 1}]")
         return self.components[j - 1]
-
-
-def extract_monomial_at(rule: RuleTable, j: int) -> MonomialComponent | None:
-    """Monomial summand at position j: succeeds iff
-    f(window) = a * x_j^q + rest(other coordinates) with a != 0, q >= 1.
-
-    The coefficient is forced (a = g(1) for the difference table g); the
-    exponent is the smallest one reproducing g, searched up to the sound
-    bound from zmod.exponent_search_bound.
-    """
-    return _monomial(rule.m, j, separable_component_at(rule, j))
 
 
 def _monomial(m: int, j: int, g: tuple[int, ...] | None) -> MonomialComponent | None:
@@ -674,9 +654,3 @@ def parse_table_text(text: str, caps: Caps = DEFAULT_CAPS) -> RuleTable:
             raise RuleParseError(f"table entry {value} out of range for Z_{m}", pos)
     return RuleTable.make(m, d, entries, caps)
 
-
-def table_file_text(rule: RuleTable, per_line: int = 20) -> str:
-    lines = [f"{rule.m} {rule.d}"]
-    for start in range(0, len(rule.table), per_line):
-        lines.append(" ".join(str(v) for v in rule.table[start : start + per_line]))
-    return "\n".join(lines) + "\n"

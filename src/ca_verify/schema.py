@@ -50,17 +50,6 @@ _WITNESS = {
         {
             "type": "object",
             "properties": {
-                "kind": {"const": "bipermutive_collision"},
-                "u": _INT_ARRAY,
-                "v": _INT_ARRAY,
-                "image_letter": {"type": "integer"},
-            },
-            "required": ["kind", "u", "v", "image_letter"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
                 "kind": {"const": "permutivity_collision"},
                 "position": {"type": "integer"},
                 "context": _INT_ARRAY,

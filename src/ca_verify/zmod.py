@@ -81,17 +81,6 @@ def units(m: int) -> tuple[int, ...]:
     return tuple(a for a in range(1, m) if gcd(a, m) == 1)
 
 
-def unit_inverse(a: int, m: int) -> int | None:
-    """Multiplicative inverse of a mod m, or None when a is not a unit."""
-    check_modulus(m)
-    from math import gcd
-
-    a %= m
-    if gcd(a, m) != 1:
-        return None
-    return pow(a, -1, m)
-
-
 def pow_mod(x: int, q: int, m: int) -> int:
     """x**q mod m with the raw-evaluation convention 0**0 == 1."""
     if q < 0:
@@ -117,17 +106,6 @@ def exponent_search_bound(m: int) -> int:
     [1, kempner(m) + totient(m)].
     """
     return kempner(m) + totient(m)
-
-
-@lru_cache(maxsize=None)
-def canonical_exponent(a: int, q: int, m: int) -> int:
-    """Smallest q' >= 1 with a*x**q' == a*x**q as functions on Z_m."""
-    target = monomial_table(a, q, m)
-    bound = exponent_search_bound(m)
-    for cand in range(1, min(q, bound) + 1):
-        if monomial_table(a, cand, m) == target:
-            return cand
-    raise AssertionError(f"no exponent <= {bound} matches x**{q} mod {m}")
 
 
 def monomial_is_bijective(a: int, q: int, m: int) -> bool:

@@ -5,9 +5,11 @@ Each function walks the contexts of one position on its own, reading the
 rule table entry by entry; the package reads every position's columns
 once, as slices, and answers all three questions from that one walk.
 The bodies are the earlier ones, unchanged; `classify` is the earlier
-classifier (without its memo) over these walks.
+classifier (without its memo) over these walks. `canonical_exponent`
+finds the smallest exponent of a monomial map by comparing value tables.
 """
 
+from functools import lru_cache
 from typing import Iterable
 
 from ca_verify.rule import MonomialComponent, RuleTable, SeparationClass
@@ -119,3 +121,14 @@ def classify(rule: RuleTable) -> SeparationClass:
         ell=ell,
         r=r,
     )
+
+
+@lru_cache(maxsize=None)
+def canonical_exponent(a: int, q: int, m: int) -> int:
+    """Smallest q' >= 1 with a*x**q' == a*x**q as functions on Z_m."""
+    target = monomial_table(a, q, m)
+    bound = exponent_search_bound(m)
+    for cand in range(1, min(q, bound) + 1):
+        if monomial_table(a, cand, m) == target:
+            return cand
+    raise AssertionError(f"no exponent <= {bound} matches x**{q} mod {m}")

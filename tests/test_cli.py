@@ -242,6 +242,14 @@ def test_audit_bad_family_exits_1(tmp_path, capsys):
     assert "unknown family kind" in err
 
 
+def test_audit_oversized_family_exits_2(tmp_path, capsys):
+    fam = tmp_path / "family.txt"
+    fam.write_text("kind=all_tables\nmoduli=13\nd=3\n")
+    code, out, err = run(capsys, "audit", "--family", str(fam))
+    assert code == 2 and out == ""
+    assert err.startswith("cap exceeded: family enumerates")
+
+
 def test_audit_prime_sufficiency_violation_exits_4(tmp_path, capsys, monkeypatch):
     """The hard-alarm path: a sufficiency break on a prime modulus must
     flip the exit code. No real rule is known to do this, so the

@@ -364,6 +364,7 @@ def test_parse_family_errors():
     cases = {
         "kind=bogus\nmoduli=3\nq_max=2\n": "unknown family kind",
         "kind=shift_like\nmoduli=4\nq_max=2\nwhat=3\n": "unknown key",
+        "kind=shift_like\nmoduli=4\nq_max=2\ncoefficients=units\n": "unknown key",
         "kind=shift_like\nmoduli=4\n": "needs q_max",
         "kind=shift_like\nmoduli=4\nq_max=2\nq_max=3\n": "repeated key",
         "kind=lr_separated\nmoduli=3\nq_max=2\n": "diameter at least 1",
@@ -389,6 +390,13 @@ def test_enumerate_family_respects_cap():
     tight = dataclasses.replace(DEFAULT_CAPS, family_rules=100)
     with pytest.raises(CapExceeded):
         list(enumerate_family(spec, tight))
+    # counts far past str()'s 4300-digit limit are refused before they are built
+    for text in (
+        "kind=all_tables\nmoduli=13\nd=3\n",
+        "kind=lr_separated\nmoduli=13\nd=5\nq_max=1\n",
+    ):
+        with pytest.raises(CapExceeded, match="family enumerates more than"):
+            list(enumerate_family(parse_family(text)))
 
 
 # --- audit -------------------------------------------------------------------------

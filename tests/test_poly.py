@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.poly import (
     Poly,
-    frobenius_reduce,
     hermite_criterion,
     interpolate_prime,
     is_permutation_poly,
@@ -124,21 +123,6 @@ def test_representability_search_matches_enumeration(m, data):
     else:
         values = tuple(data.draw(st.integers(min_value=0, max_value=m - 1)) for _ in range(m))
     assert representability_search(values, m) == enumerated_representability(values, m)
-
-
-def test_frobenius_reduce():
-    f = Poly.make(5, (0, 0, 0, 0, 0, 1))  # x^5
-    g = frobenius_reduce(f)
-    assert g.coeffs == (0, 1)
-    assert g.table() == f.table()
-
-
-@given(primes, st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=9))
-def test_frobenius_reduce_preserves_function(p, coeffs):
-    f = Poly.make(p, coeffs)
-    g = frobenius_reduce(f)
-    assert g.degree < p
-    assert g.table() == f.table()
 
 
 def test_poly_gcd_and_mul_agree_with_structure():

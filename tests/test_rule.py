@@ -17,7 +17,6 @@ from ca_verify.rule import (
     RuleTable,
     classify,
     essential_positions,
-    extract_monomial_at,
     interior_table,
     is_permutive_at,
     lr_separated_rule,
@@ -28,7 +27,6 @@ from ca_verify.rule import (
     rule_from_code,
     separable_component_at,
     sum_rule,
-    table_file_text,
 )
 
 @st.composite
@@ -175,6 +173,13 @@ def test_raw_exponents_skips_repeated_variables():
     assert expr.raw_exponents()[2] == (1, 1)
 
 
+def table_file_text(rule: RuleTable, per_line: int = 20) -> str:
+    lines = [f"{rule.m} {rule.d}"]
+    for start in range(0, len(rule.table), per_line):
+        lines.append(" ".join(str(v) for v in rule.table[start : start + per_line]))
+    return "\n".join(lines) + "\n"
+
+
 def test_table_file_round_trip():
     rule = su("m=4; d=1; f=x1^3+x2^3")
     text = table_file_text(rule)
@@ -288,7 +293,7 @@ def test_extract_monomial_with_constant_absorption():
     stays in the residual rather than in the component.
     """
     rule = sum_rule(5, 1, {1: (2, 3), 2: (1, 1)}, constant=4)
-    comp = extract_monomial_at(rule, 1)
+    comp = classify(rule).component_at(1)
     assert comp is not None and (comp.a, comp.q) == (2, 3)
 
 
@@ -308,7 +313,8 @@ def test_classify_reconstructs_separated_rules(m, d, data):
     """Building a rule from monomial components and classifying it gets
     the same components back, exponents taken canonically.
     """
-    from ca_verify.zmod import canonical_exponent, units
+    from ca_verify.zmod import units
+    from column_oracle import canonical_exponent
 
     positions = data.draw(
         st.lists(

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ca_verify.zmod import (
-    canonical_exponent,
     check_modulus,
     exponent_search_bound,
     factorize,
@@ -20,9 +19,9 @@ from ca_verify.zmod import (
     monomial_table,
     pow_mod,
     totient,
-    unit_inverse,
     units,
 )
+from column_oracle import canonical_exponent
 
 moduli = st.integers(min_value=2, max_value=60)
 
@@ -75,16 +74,6 @@ def test_kempner_is_smallest_factorial_divisor(m):
     k = kempner(m)
     assert math.factorial(k) % m == 0
     assert all(math.factorial(j) % m != 0 for j in range(1, k))
-
-
-@given(moduli)
-def test_unit_inverse(m):
-    for a in range(m):
-        inv = unit_inverse(a, m)
-        if math.gcd(a, m) == 1:
-            assert inv is not None and (a * inv) % m == 1
-        else:
-            assert inv is None
 
 
 @given(moduli, st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=12))
