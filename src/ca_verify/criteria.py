@@ -556,7 +556,7 @@ def _evaluate(
     caps: Caps,
 ) -> tuple[SeparationClass, SurjectivityResult, InjectivityResult, dict]:
     """The evaluation behind both the report and the audit row: classify,
-    brute-force permutivity, both deciders (one diamond search between
+    brute-force permutivity, both deciders (one pair search between
     them), the criterion battery and its discrepancies against those
     oracles. Returns the class, both decider results, and the fields the
     two renderings share.

@@ -9,21 +9,25 @@ of length-d words and whose edges are letter pairs with equal images
 (Amoroso & Patt 1972). A path that leaves the diagonal along an unequal
 letter pair and returns to it spells a diamond. By the Garden-of-Eden
 theorem (Moore 1962, Myhill 1963) a rule is surjective iff it has no
-diamond, so one breadth-first search over at most m^(2d) pair vertices
-decides surjectivity. A diamond also rules out injectivity; a rule
-without one is non-injective iff some off-diagonal pair vertex lies on a
-cycle. Such a cycle never meets the diagonal, and the graph is symmetric
-under swapping its two tracks, so one cycle search over the unordered
-off-diagonal pairs settles it.
+diamond. The graph is symmetric under swapping its two tracks, so one
+breadth-first search over the unordered off-diagonal pairs, at most
+n(n-1)/2 of them for n = m^d, decides surjectivity. A diamond also rules
+out injectivity; a rule without one is non-injective iff some
+off-diagonal pair vertex lies on a cycle. Such a cycle never meets the
+diagonal, so one cycle search over the unordered off-diagonal pairs
+settles it.
 
 Most tables are settled before any search. By the balance theorem
 (Hedlund 1969) a surjective rule gives every letter exactly m^d of its
 m^(d+1) windows, so one count of the table's letters refutes
 surjectivity, and with it injectivity, for every unbalanced table. Such
 a verdict comes first: its unbalanced word is the first letter whose
-count is off, and its diamond is searched for only when the injectivity
-witness is read. A balanced table goes through the diamond search, which
-decides, and its witnesses are found at once.
+count is off. A balanced table is decided by the search over unordered
+pairs, and a negative verdict then gets its shortest unbalanced word at
+once. Witnesses are found on first read where the verdict does not need
+them: a negative surjectivity verdict handed to decide_injective
+answers "not injective" at once, and the ordered search that spells the
+witness diamond runs when `witness` is first read.
 
 Negative verdicts come with finite witnesses that re-validate against
 the rule:
@@ -39,7 +43,7 @@ the rule:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
@@ -124,15 +128,13 @@ class SurjectivityResult:
 
     surjective: bool
     witness: UnbalancedWord | None
-    # the diamond that decided a balanced table, for decide_injective to reuse
-    diamond: Diamond | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class InjectivityResult:
     """The injectivity verdict and its witness. The witness may still be
-    a deferred diamond search (decide_injective handed a verdict read off
-    an unbalanced table), which runs on the first read of `witness`;
+    a deferred diamond search (decide_injective handed a negative
+    surjectivity verdict), which runs on the first read of `witness`;
     == and repr read it too.
     """
 
@@ -181,11 +183,15 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
     the Garden-of-Eden theorem (Moore 1962, Myhill 1963) decides: a rule
     is surjective iff it has no diamond, that is iff no path of the pair
     graph leaves the diagonal along an unequal letter pair and comes back
-    to it. The breadth-first diamond search visits at most m^(2d) pair
-    vertices; a diamond it finds makes the verdict negative, and the
-    shortest unbalanced word is then found by a separate search bounded by
-    subset_states. A rule with more than caps.pair_vertices de Bruijn
-    vertices is refused before the count, as the diamond search refuses it.
+    to it. The search for one runs over the unordered pairs of the swap
+    quotient (_quotient_diamond), which reaches half the off-diagonal
+    vertices that an ordered search would. Where it would pass
+    caps.pair_vertices ordered vertices, the ordered _shortest_diamond
+    decides or refuses instead. A diamond makes the verdict negative, and
+    the shortest unbalanced word is then found by a separate search
+    bounded by subset_states. A rule with more than caps.pair_vertices de
+    Bruijn vertices is refused before the count, as the diamond search
+    refuses it.
     """
     m, table = rule.m, rule.table
     n = m**rule.d
@@ -194,13 +200,16 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
         count = table.count(letter)
         if count != n:
             return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
-    diamond = _shortest_diamond(rule, caps, _pair_tables(rule))
-    if diamond is None:
+    tables = _pair_tables(rule)
+    diamond = _quotient_diamond(rule, caps, tables)
+    if diamond is None:  # at the cap
+        diamond = _shortest_diamond(rule, caps, tables) is not None
+    if not diamond:
         return SurjectivityResult(True, None)
     witness = shortest_unbalanced_word(rule, caps)
     if witness is None:
         raise AssertionError("unreachable: non-surjective rules are unbalanced")
-    return SurjectivityResult(False, witness, diamond)
+    return SurjectivityResult(False, witness)
 
 
 def shortest_unbalanced_word(
@@ -327,6 +336,44 @@ def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamo
     return None
 
 
+def _quotient_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> bool | None:
+    """Whether the rule has a diamond, by a breadth-first search over the
+    swap quotient of the pair graph: key x*n + y, x < y, stands for the
+    off-diagonal pairs (x, y) and (y, x). The search leaves the diagonal
+    along the letter pairs a < b (a > b gives the mirror images) and
+    finds a diamond at the first edge whose head has x == y. As the pair
+    graph is symmetric under swapping its tracks, it reaches {x, y}
+    exactly when _shortest_diamond reaches both (x, y) and (y, x). So it
+    counts n + 2 * len(keys) ordered vertices, and returns None,
+    undecided, once that count passes caps.pair_vertices. A rule without a
+    diamond is then refused by _shortest_diamond too, as the ordered
+    search reaches exactly that count before it stops.
+    """
+    n = rule.m**rule.d
+    _check_start_vertices(n, caps)
+    rows, tails = tables
+    keys: set[int] = set()
+    frontier = list(range(0, n * n, n + 1))
+    for key in frontier:  # the list grows as it is read: breadth-first
+        u, v = divmod(key, n)
+        leaving = u == v
+        by_label = tails[v]
+        for a, (x, label) in enumerate(rows[u]):
+            for b, y in by_label[label]:
+                if leaving and a >= b:
+                    continue
+                if x == y:
+                    return True
+                head = x * n + y if x < y else y * n + x
+                if head in keys:
+                    continue
+                keys.add(head)
+                if n + 2 * len(keys) > caps.pair_vertices:
+                    return None
+                frontier.append(head)
+    return False
+
+
 def _diamond_of_nonsurjective(rule: RuleTable, caps: Caps) -> Diamond:
     """The shortest diamond of a rule known not to be surjective."""
     diamond = _shortest_diamond(rule, caps, _pair_tables(rule))
@@ -430,9 +477,8 @@ def decide_injective(
     search runs first, and a diamond it finds is the witness; this covers
     every non-surjective rule (Moore-Myhill). A `surjectivity` result of
     decide_surjective on the same rule and caps hands its search over:
-    a negative one settles the verdict at once, and when it was read off
-    an unbalanced table, with no diamond searched, the witness diamond is
-    searched for on the first read of `witness`. That search alone can
+    a negative one settles the verdict at once, and the witness diamond
+    is searched for on the first read of `witness`. That search alone can
     then exceed caps.pair_vertices, and the read raises CapExceeded.
 
     Without a diamond, two distinct configurations with equal images
@@ -449,10 +495,7 @@ def decide_injective(
     self-loop counts, even one whose only edge is (u, v) -> (v, u).
     """
     if surjectivity is not None and not surjectivity.surjective:
-        diamond = surjectivity.diamond
-        if diamond is None:
-            diamond = _Deferred(_diamond_of_nonsurjective, rule, caps)
-        return InjectivityResult(False, diamond)
+        return InjectivityResult(False, _Deferred(_diamond_of_nonsurjective, rule, caps))
     tables = _pair_tables(rule)
     if surjectivity is None:
         diamond = _shortest_diamond(rule, caps, tables)

@@ -16,10 +16,9 @@ matching the variable names of the expression grammar.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.zmod import (
@@ -355,18 +354,72 @@ def interior_table(rule: RuleTable, ell: int, r: int) -> tuple[int, ...]:
 
 
 # --- rule builders -----------------------------------------------------------
+#
+# Every sum-of-monomials front end (monomial_rule, sum_rule,
+# lr_separated_rule, RuleExpression.table) builds its table in build_rule,
+# as an outer sum of one value table per position: no window is evaluated
+# on its own. Each front end checks its arguments first; build_rule then
+# leaves the diameter and the table cap to RuleTable.make, before any part
+# is built, so bad input is refused as it always was.
 
 
 def build_rule(
     m: int,
     d: int,
-    fn: Callable[[tuple[int, ...]], int],
+    terms: Iterable[tuple[int, int | None, int]],
+    block: tuple[int, int, Sequence[int]] | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> RuleTable:
-    """RuleTable from a window callable; values are reduced mod m."""
-    check_modulus(m)  # make checks d and the table cap before it reads a value
-    windows = itertools.product(range(m), repeat=d + 1)
-    return RuleTable.make(m, d, (fn(w) % m for w in windows), caps)
+    """RuleTable of a sum of monomials, reduced mod m.
+
+    Each term is (coefficient, position, exponent) as in
+    RuleExpression.terms: position None for a constant, positions may
+    repeat, and 0**0 == 1. `block` = (j, h, values) adds a function of
+    the h positions j .. j+h-1, given by its flat table of m**h values
+    (leftmost most significant); with h = 0 it is the constant values[0].
+    """
+    check_modulus(m)
+    return RuleTable.make(m, d, _outer_sum(m, d, terms, block), caps)
+
+
+def _outer_sum(
+    m: int,
+    d: int,
+    terms: Iterable[tuple[int, int | None, int]],
+    block: tuple[int, int, Sequence[int]] | None,
+) -> Iterator[int]:
+    """The table of build_rule, as a generator: RuleTable.make checks d
+    and the table cap before the first part table is built. A position's
+    part holds the m values of its monomials summed (zeros without one),
+    the block's part its m**h values; the table over positions 1 .. j is
+    the outer sum of the table over 1 .. j-1 and the part at j.
+    """
+    constant = 0
+    sums: dict[int, list[int]] = {}
+    for coeff, j, q in terms:
+        if j is None:
+            constant += coeff
+            continue
+        values = sums.setdefault(j, [0] * m)
+        for x in range(m):
+            values[x] += coeff * pow_mod(x, q, m)
+    # first position -> (width, values)
+    parts: dict[int, tuple[int, Sequence[int]]] = {j: (1, v) for j, v in sums.items()}
+    if block is not None:
+        j, h, values = block
+        if h:
+            parts[j] = (h, values)
+        else:
+            constant += values[0]
+    zeros = (1, (0,) * m)
+    table = [constant]
+    j = 1
+    while j <= d + 1:
+        width, values = parts.get(j, zeros)
+        table = [t + v for t in table for v in values]
+        j += width
+    for t in table:
+        yield t % m
 
 
 def monomial_rule(
@@ -377,7 +430,7 @@ def monomial_rule(
         raise ValueError(f"position {j} out of range [1, {d + 1}]")
     if q < 1:
         raise ValueError(f"monomial exponent must be >= 1, got {q}")
-    return build_rule(m, d, lambda w: a * pow_mod(w[j - 1], q, m), caps)
+    return build_rule(m, d, [(a, j, q)], caps=caps)
 
 
 def sum_rule(
@@ -391,14 +444,8 @@ def sum_rule(
     for j in components:
         if not 1 <= j <= d + 1:
             raise ValueError(f"position {j} out of range [1, {d + 1}]")
-
-    def fn(w: tuple[int, ...]) -> int:
-        acc = constant
-        for j, (a, q) in components.items():
-            acc += a * pow_mod(w[j - 1], q, m)
-        return acc
-
-    return build_rule(m, d, fn, caps)
+    terms = [(constant, None, 0), *((a, j, q) for j, (a, q) in components.items())]
+    return build_rule(m, d, terms, caps=caps)
 
 
 def lr_separated_rule(
@@ -424,18 +471,8 @@ def lr_separated_rule(
     h = r - ell - 1
     if len(interior) != m**h:
         raise ValueError(f"interior table needs {m ** h} entries, got {len(interior)}")
-
-    def fn(w: tuple[int, ...]) -> int:
-        idx = 0
-        for pos in range(ell + 1, r):
-            idx = idx * m + w[pos - 1]
-        return (
-            a_ell * pow_mod(w[ell - 1], q_ell, m)
-            + interior[idx]
-            + a_r * pow_mod(w[r - 1], q_r, m)
-        )
-
-    return build_rule(m, d, fn, caps)
+    terms = [(a_ell, ell, q_ell), (a_r, r, q_r)]
+    return build_rule(m, d, terms, (ell + 1, h, interior), caps)
 
 
 def rule_from_code(m: int, d: int, code: int, caps: Caps = DEFAULT_CAPS) -> RuleTable:
@@ -479,6 +516,9 @@ class RuleExpression:
     source: str
 
     def evaluate(self, window: Sequence[int]) -> int:
+        """The value at one window, term by term: the reference that the
+        tables build_rule sums from per-position parts are tested against.
+        """
         acc = 0
         for coeff, pos, exp in self.terms:
             if pos is None:
@@ -506,7 +546,7 @@ class RuleExpression:
         return out
 
     def table(self, caps: Caps = DEFAULT_CAPS) -> RuleTable:
-        return build_rule(self.m, self.d, self.evaluate, caps)
+        return build_rule(self.m, self.d, self.terms, caps=caps)
 
 
 _TOKEN_RE = re.compile(

@@ -25,6 +25,9 @@ from ca_verify.decide import (
     PeriodicPair,
     SurjectivityResult,
     UnbalancedWord,
+    _pair_tables,
+    _quotient_diamond,
+    _shortest_diamond,
     bipermutive_collision,
     count_preimages,
     decide_injective,
@@ -33,6 +36,7 @@ from ca_verify.decide import (
 )
 from ca_verify.rule import (
     CyclicWord,
+    RuleTable,
     classify,
     is_permutive_at,
     lr_separated_rule,
@@ -53,8 +57,16 @@ def su(src):
 
 @st.composite
 def small_rules(draw):
-    m = draw(st.sampled_from((2, 3)))
-    d = draw(st.integers(min_value=0, max_value=2))
+    """Tables with m in {2, 3} and d <= 2, or m in {4, 5} and d <= 1. A
+    uniform code over Z_4 or Z_5 almost never gives a balanced table, so
+    there half the draws shuffle a balanced letter multiset instead, and
+    the pair searches run at the moduli the conjecture scan uses.
+    """
+    m = draw(st.sampled_from((2, 3, 4, 5)))
+    d = draw(st.integers(min_value=0, max_value=2 if m < 4 else 1))
+    if m > 3 and draw(st.booleans()):
+        letters = [letter for letter in range(m) for _ in range(m**d)]
+        return RuleTable.make(m, d, draw(st.permutations(letters)))
     size = m ** (d + 1)
     code = draw(st.integers(min_value=0, max_value=m**size - 1))
     return rule_from_code(m, d, code)
@@ -195,6 +207,92 @@ def test_surjectivity_matches_subset_oracle_exhaustive_m2_d2():
 @given(small_rules())
 def test_surjectivity_matches_subset_oracle(rule):
     assert_surjectivity_matches_subset_oracle(rule)
+
+
+def assert_quotient_verdict_matches_ordered_search(rule, label=""):
+    """The search over unordered pairs finds a diamond exactly when the
+    ordered search does, on any table, balanced or not.
+    """
+    tables = _pair_tables(rule)
+    found = _quotient_diamond(rule, DEFAULT_CAPS, tables)
+    assert found is not None, label
+    assert (not found) == (_shortest_diamond(rule, DEFAULT_CAPS, tables) is None), label
+
+
+def test_quotient_verdict_matches_ordered_search_exhaustive():
+    for m, d in ((3, 1), (2, 2)):
+        for code in range(m ** (m ** (d + 1))):
+            rule = rule_from_code(m, d, code)
+            assert_quotient_verdict_matches_ordered_search(rule, f"m={m} d={d} code {code}")
+
+
+@given(small_rules())
+def test_quotient_verdict_matches_ordered_search(rule):
+    assert_quotient_verdict_matches_ordered_search(rule)
+
+
+@given(small_rules().filter(lambda rule: rule.d == 0))
+def test_quotient_verdict_matches_ordered_search_d0(rule):
+    assert_quotient_verdict_matches_ordered_search(rule)
+
+
+def ordered_decide_surjective(rule, caps):
+    """decide_surjective as it was with the ordered diamond search alone:
+    the letter counts, then _shortest_diamond, then the balance search.
+    """
+    n = rule.m**rule.d
+    if n > caps.pair_vertices:
+        raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
+    for letter in range(rule.m):
+        count = rule.table.count(letter)
+        if count != n:
+            return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
+    if _shortest_diamond(rule, caps, _pair_tables(rule)) is None:
+        return SurjectivityResult(True, None)
+    return SurjectivityResult(False, shortest_unbalanced_word(rule, caps))
+
+
+def decision(decide, rule, caps):
+    try:
+        return decide(rule, caps)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def test_quotient_verdict_keeps_verdicts_and_refusals_at_every_cap():
+    """pair_vertices from n to m^(2d) + 1 on every 9th balanced m=3, d=1
+    table and every balanced m=2, d=2 table. Where the ordered search
+    decided, the decision is the same, witness included; where the new
+    one refuses, the ordered search refused with the same message. A
+    diamond found below the cap by the search over unordered pairs may
+    turn a refusal of the ordered search into the verdict found without
+    a cap, as an unbalanced table's letter counts do.
+    """
+    cases = [(3, 1, code) for code in range(3**9)] + [(2, 2, code) for code in range(2**8)]
+    checked = refusals = 0
+    for m, d, code in cases:
+        rule = rule_from_code(m, d, code)
+        n = m**d
+        if any(rule.table.count(letter) != n for letter in range(m)):
+            continue
+        checked += 1
+        if m == 3 and checked % 9:
+            continue
+        uncapped = decide_surjective(rule)
+        for cap in range(n, n * n + 2):
+            caps = dataclasses.replace(DEFAULT_CAPS, pair_vertices=cap)
+            new = decision(decide_surjective, rule, caps)
+            old = decision(ordered_decide_surjective, rule, caps)
+            label = f"m={m} d={d} code {code} pair_vertices={cap}"
+            if isinstance(old, SurjectivityResult):
+                assert new == old, label
+            elif isinstance(new, str):
+                assert new == old, label
+                refusals += 1
+            else:
+                assert new == uncapped, label
+    assert checked == 1680 + 70
+    assert refusals > 0
 
 
 def test_unbalanced_word_validate_rejects_wrong_count():

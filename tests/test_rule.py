@@ -6,6 +6,8 @@ significant mixed-radix digit of the table index, and the output cell
 anchors at radius d // 2 cells of lookback.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,7 @@ from ca_verify.rule import (
     separable_component_at,
     sum_rule,
 )
+from ca_verify.zmod import pow_mod
 
 @st.composite
 def small_rules(draw):
@@ -338,3 +341,130 @@ def test_classify_reconstructs_separated_rules(m, d, data):
         comp = cls.component_at(j)
         assert comp.a == a % m
         assert comp.q == canonical_exponent(a, q, m)
+
+
+# --- rule builders against per-window evaluation ----------------------------------
+#
+# build_rule sums one value table per position; the oracle evaluates every
+# window on its own, with pow_mod and RuleExpression.evaluate.
+
+
+def windows(m, d):
+    return itertools.product(range(m), repeat=d + 1)
+
+
+def window_table(m, d, fn):
+    return tuple(fn(w) % m for w in windows(m, d))
+
+
+BUILDER_SHAPES = [(m, d) for m in (2, 3, 4, 5) for d in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("m, d", BUILDER_SHAPES)
+def test_monomial_rule_matches_window_evaluation(m, d):
+    for j in range(1, d + 2):
+        for a in range(m):
+            for q in range(1, 7):
+                expected = window_table(m, d, lambda w: a * pow_mod(w[j - 1], q, m))
+                assert monomial_rule(m, d, j, a, q).table == expected, (j, a, q)
+
+
+@pytest.mark.parametrize("m, d", BUILDER_SHAPES)
+def test_sum_rule_matches_window_evaluation(m, d):
+    """Every set of positions, each with a coefficient in {1, m - 1, m + 2}
+    and an exponent in 0..3 (0**0 == 1), over two constants.
+    """
+    choices = [None] + [(a, q) for a in (1, m - 1, m + 2) for q in range(4)]
+    for picks in itertools.product(choices, repeat=d + 1):
+        components = {j: pick for j, pick in enumerate(picks, 1) if pick is not None}
+        for constant in (0, 2 * m - 1):
+            expected = window_table(
+                m,
+                d,
+                lambda w: constant
+                + sum(a * pow_mod(w[j - 1], q, m) for j, (a, q) in components.items()),
+            )
+            assert sum_rule(m, d, components, constant).table == expected, (
+                components,
+                constant,
+            )
+
+
+@pytest.mark.parametrize("m, d", [(m, d) for m, d in BUILDER_SHAPES if d >= 1])
+def test_lr_separated_rule_matches_window_evaluation(m, d):
+    """Every end pair ell < r (r = ell + 1, and at d = 2 both an inner
+    ell > 1 and an inner r < d + 1), a few end monomials, and every
+    interior table for m <= 3 (every seventh of them above).
+    """
+    for ell in range(1, d + 1):
+        for r in range(ell + 1, d + 2):
+            h = r - ell - 1
+            interiors = list(itertools.product(range(m), repeat=m**h))
+            if m > 3:
+                interiors = interiors[::7]
+            for (a_l, q_l), (a_r, q_r) in itertools.product(
+                [(1, 1), (m - 1, 2), (2, 3)], repeat=2
+            ):
+                for interior in interiors:
+
+                    def fn(w):
+                        idx = 0
+                        for pos in range(ell + 1, r):
+                            idx = idx * m + w[pos - 1]
+                        return (
+                            a_l * pow_mod(w[ell - 1], q_l, m)
+                            + interior[idx]
+                            + a_r * pow_mod(w[r - 1], q_r, m)
+                        )
+
+                    rule = lr_separated_rule(m, d, ell, r, a_l, q_l, a_r, q_r, interior)
+                    assert rule.table == window_table(m, d, fn), (ell, r, interior)
+
+
+@st.composite
+def expression_sources(draw):
+    """Rule sources with repeated positions, exponent 0 and constants."""
+    m = draw(st.integers(min_value=2, max_value=7))
+    d = draw(st.integers(min_value=0, max_value=2))
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        coeff = draw(st.integers(min_value=0, max_value=3 * m))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            terms.append(str(coeff))
+            continue
+        j = draw(st.integers(min_value=1, max_value=d + 1))
+        q = draw(st.integers(min_value=0, max_value=5))
+        terms.append(f"{coeff}*x{j}^{q}")
+    return f"m={m}; d={d}; f=" + " + ".join(terms)
+
+
+@given(expression_sources())
+def test_parsed_expression_table_matches_evaluate(source):
+    rule, expression = parse_rule(source)
+    assert rule.table == tuple(expression.evaluate(w) for w in windows(rule.m, rule.d))
+
+
+def test_builders_keep_their_error_messages():
+    with pytest.raises(ValueError, match=r"^position 3 out of range \[1, 2\]$"):
+        monomial_rule(3, 1, 3, 1, 1)
+    with pytest.raises(ValueError, match=r"^position 0 out of range \[1, 2\]$"):
+        sum_rule(3, 1, {0: (1, 1)})
+    with pytest.raises(ValueError, match=r"^monomial exponent must be >= 1, got 0$"):
+        monomial_rule(3, 1, 1, 1, 0)
+    with pytest.raises(ValueError, match=r"^exponent must be >= 0, got -1$"):
+        sum_rule(3, 1, {1: (1, -1)})
+    with pytest.raises(ValueError, match=r"^exponent must be >= 0, got -2$"):
+        lr_separated_rule(3, 1, 1, 2, 1, -2, 1, 1, [0])
+    with pytest.raises(ValueError, match=r"^interior table needs 3 entries, got 2$"):
+        lr_separated_rule(3, 2, 1, 3, 1, 1, 1, 1, [0, 1])
+    with pytest.raises(ValueError, match=r"^interior table needs 1 entries, got 0$"):
+        lr_separated_rule(3, 1, 1, 2, 1, 1, 1, 1, [])
+    with pytest.raises(ValueError, match=r"^need 1 <= ell < r <= 3, got \(2, 2\)$"):
+        lr_separated_rule(3, 2, 2, 2, 1, 1, 1, 1, [0])
+    with pytest.raises(RuleParseError, match=r"^variable x3 outside x1\.\.x2 \(at offset 12\)$"):
+        parse_rule("m=3; d=1; f=x3")
+    # the diameter and the table cap are checked before any value is built
+    with pytest.raises(ValueError, match=r"^diameter must be a non-negative integer, got -1$"):
+        sum_rule(3, -1, {}, constant=1)
+    with pytest.raises(CapExceeded, match=r"^rule table needs 81 entries, cap is 27$"):
+        sum_rule(3, 3, {1: (1, -1)}, caps=Caps(table_entries=27))
