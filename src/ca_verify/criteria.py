@@ -732,21 +732,16 @@ class FamilyRule:
     params: tuple[tuple[str, int], ...]
 
 
-def family_size(spec: FamilySpec) -> int:
-    """Exact number of rules `spec` enumerates, computed arithmetically
-    so cap checks never have to walk a huge family.
-    """
-    return _family_size(spec, None)
-
-
-def _family_size(spec: FamilySpec, cap: int | None) -> int:
-    """family_size, except that with a cap no power above the cap is
-    built: m**s > cap whenever s >= cap.bit_length(), since m >= 2, so
-    cap + 1 stands in for it and the total still passes the cap.
+def _family_size(spec: FamilySpec, cap: int) -> int:
+    """Number of rules `spec` enumerates, computed arithmetically so the
+    cap check never walks a huge family. It is exact up to `cap`; above
+    it only its passing the cap is: m**s > cap whenever
+    s >= cap.bit_length(), since m >= 2, so no such power is built and
+    cap + 1 stands in for it.
     """
 
     def power(m: int, s: int) -> int:
-        return cap + 1 if cap is not None and s >= cap.bit_length() else m**s
+        return cap + 1 if s >= cap.bit_length() else m**s
 
     total = 0
     nq = spec.q_max - spec.q_min + 1

@@ -11,23 +11,23 @@ letter pair and returns to it spells a diamond. By the Garden-of-Eden
 theorem (Moore 1962, Myhill 1963) a rule is surjective iff it has no
 diamond. The graph is symmetric under swapping its two tracks, so one
 breadth-first search over the unordered off-diagonal pairs, at most
-n(n-1)/2 of them for n = m^d, decides surjectivity. A diamond also rules
-out injectivity; a rule without one is non-injective iff some
-off-diagonal pair vertex lies on a cycle. Such a cycle never meets the
-diagonal, so one cycle search over the unordered off-diagonal pairs
-settles it.
+n(n-1)/2 of them for n = m^d, decides surjectivity and spells the
+shortest diamond. A diamond also rules out injectivity; a rule without
+one is non-injective iff some off-diagonal pair vertex lies on a cycle.
+Such a cycle never meets the diagonal, so one cycle search over the
+unordered off-diagonal pairs settles it.
 
 Most tables are settled before any search. By the balance theorem
 (Hedlund 1969) a surjective rule gives every letter exactly m^d of its
 m^(d+1) windows, so one count of the table's letters refutes
 surjectivity, and with it injectivity, for every unbalanced table. Such
 a verdict comes first: its unbalanced word is the first letter whose
-count is off. A balanced table is decided by the search over unordered
-pairs, and a negative verdict then gets its shortest unbalanced word at
-once. Witnesses are found on first read where the verdict does not need
-them: a negative surjectivity verdict handed to decide_injective
-answers "not injective" at once, and the ordered search that spells the
-witness diamond runs when `witness` is first read.
+count is off. A balanced table is decided by the diamond search, and a
+negative verdict then gets its shortest unbalanced word at once.
+Witnesses are found on first read where the verdict does not need them:
+a negative surjectivity verdict handed to decide_injective answers "not
+injective" at once, and the diamond search runs again for the witness
+when `witness` is first read.
 
 Negative verdicts come with finite witnesses that re-validate against
 the rule:
@@ -183,15 +183,12 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
     the Garden-of-Eden theorem (Moore 1962, Myhill 1963) decides: a rule
     is surjective iff it has no diamond, that is iff no path of the pair
     graph leaves the diagonal along an unequal letter pair and comes back
-    to it. The search for one runs over the unordered pairs of the swap
-    quotient (_quotient_diamond), which reaches half the off-diagonal
-    vertices that an ordered search would. Where it would pass
-    caps.pair_vertices ordered vertices, the ordered _shortest_diamond
-    decides or refuses instead. A diamond makes the verdict negative, and
-    the shortest unbalanced word is then found by a separate search
-    bounded by subset_states. A rule with more than caps.pair_vertices de
-    Bruijn vertices is refused before the count, as the diamond search
-    refuses it.
+    to it. _shortest_diamond searches for one over unordered pairs, and
+    refuses past caps.pair_vertices as an ordered search would. A diamond
+    makes the verdict negative, and the shortest unbalanced word is then
+    found by a separate search bounded by subset_states. A rule with more
+    than caps.pair_vertices de Bruijn vertices is refused before the
+    count, as the diamond search refuses it.
     """
     m, table = rule.m, rule.table
     n = m**rule.d
@@ -200,11 +197,7 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
         count = table.count(letter)
         if count != n:
             return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
-    tables = _pair_tables(rule)
-    diamond = _quotient_diamond(rule, caps, tables)
-    if diamond is None:  # at the cap
-        diamond = _shortest_diamond(rule, caps, tables) is not None
-    if not diamond:
+    if _shortest_diamond(rule, caps, _pair_tables(rule)) is None:
         return SurjectivityResult(True, None)
     witness = shortest_unbalanced_word(rule, caps)
     if witness is None:
@@ -274,16 +267,25 @@ def _vertex_word(v: int, m: int, d: int) -> tuple[int, ...]:
 
 
 def _letter_path(
-    parents: dict[int, tuple[int, int, int]], pid: int, a: int, b: int
+    parents: dict[int, int], m: int, n: int, pid: int, a: int, b: int, unordered: bool
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Follow `parents` back from the edge (a, b) out of pid to the root
-    of the breadth-first search, the first vertex without a parent.
-    Returns the root and the two letter tracks of the path from it.
+    """Follow `parents`, which maps each vertex the breadth-first search
+    reached (with `unordered`, the key x*n + y, x < y, of its unordered
+    pair) to the vertex it was reached from, back from the edge (a, b)
+    out of pid to the root, the first vertex without a parent. Returns
+    the root and the two letter tracks of the path from it. The edge into
+    a pair vertex (x, y) carries the last letters of x and y, (x mod m,
+    y mod m); only d = 0 has no such letters, and then n = 1 and no
+    search records a parent.
     """
     letters = [(a, b)]
-    while pid in parents:
-        pid, a, b = parents[pid]
-        letters.append((a, b))
+    while True:
+        x, y = divmod(pid, n)
+        key = y * n + x if unordered and x > y else pid
+        if key not in parents:
+            break
+        letters.append((x % m, y % m))
+        pid = parents[key]
     u, v = zip(*reversed(letters))
     return pid, u, v
 
@@ -295,67 +297,37 @@ def _check_start_vertices(n: int, caps: Caps) -> None:
 
 
 def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamond | None:
-    """Breadth-first search of the pair graph, expanded on demand from
-    the diagonal: out of every diagonal vertex (in order) along an
-    unequal letter pair, then along any edge, until the diagonal is met
-    again. A path that has left the diagonal ends at its first return, so
-    the diagonal vertices in the frontier are exactly the starts and no
-    vertex needs a "has left" flag. The first return is a shortest
-    diamond; sorted expansion makes it lexicographically least on (shared
-    prefix, letter pairs) among those. Every distinct pair vertex reached
-    counts against caps.pair_vertices.
+    """The shortest diamond, or None if the rule has none. Breadth-first
+    search of the pair graph, expanded on demand from the diagonal: out
+    of every diagonal vertex (in order) along an unequal letter pair,
+    then along any edge, until the diagonal is met again. A path that has
+    left the diagonal ends at its first return, so the diagonal vertices
+    in the frontier are exactly the starts. The first return is a
+    shortest diamond; sorted expansion makes it lexicographically least
+    on (shared prefix, letter pairs) among those.
+
+    The graph is symmetric under swapping its two tracks, so the search
+    records each unordered pair {x, y} once, under the key x*n + y,
+    x < y, and expands only the orientation it met first; a diagonal
+    start leaves along a < b only, as a > b gives the mirror images. An
+    ordered search would meet the mirror of every such vertex later, from
+    the mirror of its parent, and its first return to the diagonal would
+    leave a first-met vertex. So this search returns the ordered search's
+    diamond, and as the letters on the edge into a vertex are its own,
+    `parents` maps each key to a vertex alone. The count n + (pairs
+    recorded) is never above the ordered search's count, and a search
+    that runs out without a diamond has reached n + 2 * (pairs recorded)
+    ordered vertices, so it refuses past caps.pair_vertices exactly where
+    the ordered search did.
     """
     m, d = rule.m, rule.d
     n = m**d
     _check_start_vertices(n, caps)
     rows, tails = tables
-    parents: dict[int, tuple[int, int, int]] = {}
-    frontier = deque(range(0, n * n, n + 1))
-    while frontier:
-        pid = frontier.popleft()
-        u, v = divmod(pid, n)
-        leaving = u == v
-        by_label = tails[v]
-        for a, (x, label) in enumerate(rows[u]):
-            for b, y in by_label[label]:
-                if leaving and a == b:
-                    continue
-                if x == y:
-                    root, left, right = _letter_path(parents, pid, a, b)
-                    prefix = _vertex_word(root // n, m, d)
-                    return Diamond(prefix + left, prefix + right)
-                head = x * n + y
-                if head in parents:
-                    continue
-                parents[head] = (pid, a, b)
-                if n + len(parents) > caps.pair_vertices:
-                    raise CapExceeded(
-                        f"pair search exceeded {caps.pair_vertices} vertices"
-                    )
-                frontier.append(head)
-    return None
-
-
-def _quotient_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> bool | None:
-    """Whether the rule has a diamond, by a breadth-first search over the
-    swap quotient of the pair graph: key x*n + y, x < y, stands for the
-    off-diagonal pairs (x, y) and (y, x). The search leaves the diagonal
-    along the letter pairs a < b (a > b gives the mirror images) and
-    finds a diamond at the first edge whose head has x == y. As the pair
-    graph is symmetric under swapping its tracks, it reaches {x, y}
-    exactly when _shortest_diamond reaches both (x, y) and (y, x). So it
-    counts n + 2 * len(keys) ordered vertices, and returns None,
-    undecided, once that count passes caps.pair_vertices. A rule without a
-    diamond is then refused by _shortest_diamond too, as the ordered
-    search reaches exactly that count before it stops.
-    """
-    n = rule.m**rule.d
-    _check_start_vertices(n, caps)
-    rows, tails = tables
-    keys: set[int] = set()
+    parents: dict[int, int] = {}
     frontier = list(range(0, n * n, n + 1))
-    for key in frontier:  # the list grows as it is read: breadth-first
-        u, v = divmod(key, n)
+    for pid in frontier:  # the list grows as it is read: breadth-first
+        u, v = divmod(pid, n)
         leaving = u == v
         by_label = tails[v]
         for a, (x, label) in enumerate(rows[u]):
@@ -363,15 +335,21 @@ def _quotient_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> bool 
                 if leaving and a >= b:
                     continue
                 if x == y:
-                    return True
-                head = x * n + y if x < y else y * n + x
-                if head in keys:
+                    root, left, right = _letter_path(parents, m, n, pid, a, b, True)
+                    prefix = _vertex_word(root // n, m, d)
+                    return Diamond(prefix + left, prefix + right)
+                key = x * n + y if x < y else y * n + x
+                if key in parents:
                     continue
-                keys.add(head)
-                if n + 2 * len(keys) > caps.pair_vertices:
-                    return None
-                frontier.append(head)
-    return False
+                parents[key] = pid
+                if n + len(parents) > caps.pair_vertices:
+                    raise CapExceeded(
+                        f"pair search exceeded {caps.pair_vertices} vertices"
+                    )
+                frontier.append(x * n + y)
+    if n + 2 * len(parents) > caps.pair_vertices:
+        raise CapExceeded(f"pair search exceeded {caps.pair_vertices} vertices")
+    return None
 
 
 def _diamond_of_nonsurjective(rule: RuleTable, caps: Caps) -> Diamond:
@@ -449,7 +427,7 @@ def _offdiagonal_cycle_pair(
                         start = min(start, *component)
     if start == total:
         return None
-    parents: dict[int, tuple[int, int, int]] = {}
+    parents: dict[int, int] = {}
     frontier = deque([start])
     while frontier:
         pid = frontier.popleft()
@@ -459,10 +437,10 @@ def _offdiagonal_cycle_pair(
             for b, y in by_label[label]:
                 head = x * n + y
                 if head == start:
-                    _, left, right = _letter_path(parents, pid, a, b)
+                    _, left, right = _letter_path(parents, m, n, pid, a, b, False)
                     return PeriodicPair(CyclicWord(m, left), CyclicWord(m, right))
                 if head not in parents:
-                    parents[head] = (pid, a, b)
+                    parents[head] = pid
                     frontier.append(head)
     raise AssertionError("unreachable: start lies on a cycle")
 
@@ -474,8 +452,9 @@ def decide_injective(
 
     A diamond makes a rule non-injective: paste its two words into a
     common background and the images agree everywhere. So the diamond
-    search runs first, and a diamond it finds is the witness; this covers
-    every non-surjective rule (Moore-Myhill). A `surjectivity` result of
+    search (_shortest_diamond, the one decide_surjective runs) comes
+    first, and a diamond it finds is the witness; this covers every
+    non-surjective rule (Moore-Myhill). A `surjectivity` result of
     decide_surjective on the same rule and caps hands its search over:
     a negative one settles the verdict at once, and the witness diamond
     is searched for on the first read of `witness`. That search alone can

@@ -195,12 +195,12 @@ def test_audit_streams_schema_valid_rows(tmp_path, capsys):
 
 def test_audit_searches_only_balanced_tables(tmp_path, capsys, monkeypatch):
     """Of the 19683 m=3, d=1 tables, 18003 are unbalanced and decided by
-    their letter counts; no audit row reads their witnesses. The quotient
+    their letter counts; no audit row reads their witnesses. The diamond
     search decides each balanced table (1680), and the balance search runs
     once per balanced table that has a diamond (1260). No row reads a
-    diamond, so the ordered diamond search never runs.
+    diamond, so the diamond search runs for no other table.
     """
-    calls = {"_quotient_diamond": 0, "_shortest_diamond": 0, "shortest_unbalanced_word": 0}
+    calls = {"_shortest_diamond": 0, "shortest_unbalanced_word": 0}
 
     def counted(name):
         search = getattr(decide, name)
@@ -218,16 +218,12 @@ def test_audit_searches_only_balanced_tables(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "audit", "--family", str(fam), "--jobs", "1")
     assert code == 0
     assert out.count("\n") == 3**9
-    assert calls == {
-        "_quotient_diamond": 1680, "_shortest_diamond": 0, "shortest_unbalanced_word": 1260
-    }
+    assert calls == {"_shortest_diamond": 1680, "shortest_unbalanced_word": 1260}
 
     # a report renders both witnesses, the deferred diamond among them
     code, out, _ = run(capsys, "analyze", "m=3; d=1; f=x1^2+x2^2")
     assert code == 0
-    assert calls == {
-        "_quotient_diamond": 1680, "_shortest_diamond": 1, "shortest_unbalanced_word": 1260
-    }
+    assert calls == {"_shortest_diamond": 1681, "shortest_unbalanced_word": 1260}
     # sha256 of the report as built when every witness was searched eagerly
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "def554475c6d92a18d9c20d76911343d529cfd4d5d838df23dcaf9cbdd46d47b"

@@ -27,13 +27,12 @@ from ca_verify.criteria import (
     criterion_surjectivity_sufficient,
     criterion_totient_permutivity,
     enumerate_family,
-    family_size,
     parse_family,
     run_criteria,
     sufficiency_violation_on_prime,
 )
 from ca_verify.decide import decide_surjective
-from ca_verify.criteria import _hermite_verdict
+from ca_verify.criteria import _family_size, _hermite_verdict
 from ca_verify.rule import (
     classify,
     is_permutive_at,
@@ -356,7 +355,7 @@ def test_parse_family_round_trip():
     )
     assert spec == FamilySpec(kind="shift_like", moduli=(4,), q_min=1, q_max=4)
     rules = list(enumerate_family(spec))
-    assert family_size(spec) == len(rules) == 8
+    assert _family_size(spec, DEFAULT_CAPS.family_rules) == len(rules) == 8
     assert rules[0].rule_id == "m4-d0-j1-a1-q1"
 
 

@@ -26,7 +26,6 @@ from ca_verify.decide import (
     SurjectivityResult,
     UnbalancedWord,
     _pair_tables,
-    _quotient_diamond,
     _shortest_diamond,
     bipermutive_collision,
     count_preimages,
@@ -46,6 +45,7 @@ from ca_verify.rule import (
     sum_rule,
 )
 from ca_verify.zmod import units
+import pair_graph_oracle
 from pair_graph_oracle import pair_graph_injective
 from subset_oracle import subset_surjective
 
@@ -210,13 +210,12 @@ def test_surjectivity_matches_subset_oracle(rule):
 
 
 def assert_quotient_verdict_matches_ordered_search(rule, label=""):
-    """The search over unordered pairs finds a diamond exactly when the
-    ordered search does, on any table, balanced or not.
+    """The search over unordered pairs finds the diamond that the ordered
+    search of the oracle finds, or none when it finds none, on any table,
+    balanced or not: deferred witness reads search unbalanced ones too.
     """
-    tables = _pair_tables(rule)
-    found = _quotient_diamond(rule, DEFAULT_CAPS, tables)
-    assert found is not None, label
-    assert (not found) == (_shortest_diamond(rule, DEFAULT_CAPS, tables) is None), label
+    found = _shortest_diamond(rule, DEFAULT_CAPS, _pair_tables(rule))
+    assert found == pair_graph_oracle._shortest_diamond(rule, DEFAULT_CAPS), label
 
 
 def test_quotient_verdict_matches_ordered_search_exhaustive():
@@ -237,8 +236,9 @@ def test_quotient_verdict_matches_ordered_search_d0(rule):
 
 
 def ordered_decide_surjective(rule, caps):
-    """decide_surjective as it was with the ordered diamond search alone:
-    the letter counts, then _shortest_diamond, then the balance search.
+    """decide_surjective with the oracle's ordered diamond search: the
+    letter counts, then pair_graph_oracle._shortest_diamond, then the
+    balance search.
     """
     n = rule.m**rule.d
     if n > caps.pair_vertices:
@@ -247,7 +247,7 @@ def ordered_decide_surjective(rule, caps):
         count = rule.table.count(letter)
         if count != n:
             return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
-    if _shortest_diamond(rule, caps, _pair_tables(rule)) is None:
+    if pair_graph_oracle._shortest_diamond(rule, caps) is None:
         return SurjectivityResult(True, None)
     return SurjectivityResult(False, shortest_unbalanced_word(rule, caps))
 
@@ -261,12 +261,13 @@ def decision(decide, rule, caps):
 
 def test_quotient_verdict_keeps_verdicts_and_refusals_at_every_cap():
     """pair_vertices from n to m^(2d) + 1 on every 9th balanced m=3, d=1
-    table and every balanced m=2, d=2 table. Where the ordered search
-    decided, the decision is the same, witness included; where the new
-    one refuses, the ordered search refused with the same message. A
-    diamond found below the cap by the search over unordered pairs may
-    turn a refusal of the ordered search into the verdict found without
-    a cap, as an unbalanced table's letter counts do.
+    table and every balanced m=2, d=2 table. Where the oracle's ordered
+    search decided, the decision is the same, witness included; where the
+    search over unordered pairs refuses, the ordered search refused with
+    the same message. A diamond found below the cap by the search over
+    unordered pairs, which counts fewer vertices, may turn a refusal of
+    the ordered search into the verdict found without a cap, as an
+    unbalanced table's letter counts do.
     """
     cases = [(3, 1, code) for code in range(3**9)] + [(2, 2, code) for code in range(2**8)]
     checked = refusals = 0
@@ -293,6 +294,49 @@ def test_quotient_verdict_keeps_verdicts_and_refusals_at_every_cap():
                 assert new == uncapped, label
     assert checked == 1680 + 70
     assert refusals > 0
+
+
+def read_deferred_witness(rule, caps):
+    """The diamond of a non-surjective rule, read from the injectivity
+    result that a negative surjectivity verdict hands its search to.
+    """
+    surjectivity = decide_surjective(rule, caps)
+    assert not surjectivity.surjective
+    return decide_injective(rule, caps, surjectivity).witness
+
+
+def test_injectivity_paths_keep_witnesses_and_refusals_at_every_cap():
+    """pair_vertices from n to m^(2d) + 1 on every 9th m=3, d=1 table and
+    every m=2, d=2 table, unbalanced ones included. Standalone
+    decide_injective is held to the oracle's ordered searches, and the
+    deferred witness of every non-surjective table to the oracle's
+    ordered diamond search: each either matches, witness or refusal
+    message, or decides, as without a cap, where the oracle refused.
+    """
+    cases = [(3, 1, code) for code in range(0, 3**9, 9)] + [
+        (2, 2, code) for code in range(2**8)
+    ]
+    refusals = rescued = 0
+    for m, d, code in cases:
+        rule = rule_from_code(m, d, code)
+        n = m**d
+        paths = [(decide_injective, pair_graph_injective)]
+        if not decide_surjective(rule).surjective:
+            paths.append((read_deferred_witness, pair_graph_oracle._shortest_diamond))
+        for new_path, old_path in paths:
+            uncapped = new_path(rule, DEFAULT_CAPS)
+            for cap in range(n, n * n + 2):
+                caps = dataclasses.replace(DEFAULT_CAPS, pair_vertices=cap)
+                label = f"m={m} d={d} code {code} pair_vertices={cap} {new_path.__name__}"
+                new = decision(new_path, rule, caps)
+                old = decision(old_path, rule, caps)
+                if isinstance(new, str):
+                    refusals += 1
+                elif isinstance(old, str):
+                    rescued += 1
+                    old = uncapped
+                assert new == old, label
+    assert refusals > 0 and rescued > 0
 
 
 def test_unbalanced_word_validate_rejects_wrong_count():
