@@ -16,17 +16,22 @@ discrepancy records carrying the oracle witness. Discrepancies are never
 auto-resolved. Classify, permutivity and the Hermite component read one
 column pass of the table; the Hermite verdict and each verdict's dict are
 memoised, the dict carrying its canonical compact JSON text for the audit
-writer (also across a pool). `analyze` renders the evaluation as the full
-report and `audit_row` as the slim audit row. Audits and conjecture scans
-map one worker over the validated rules of a family, serially or on a
-process pool, in enumeration order.
+writer (also from a forked worker). `analyze` renders the evaluation as
+the full report and `audit_row` as the slim audit row. Audits and
+conjecture scans map one worker over the validated rules of a family, in
+enumeration order: serially, or on forked children that claim chunks of
+the family, walk it themselves, build only the tables of their chunks and
+stream their rows back (_forked_map).
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import os
 import random
+import sys
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -76,7 +81,7 @@ class VerdictDict(dict):
     """A verdict's dict that also carries `json`, its canonical compact
     JSON text (sorted keys, no spaces), so that a writer joins the text
     instead of encoding the dict again. It compares equal to a plain dict
-    and keeps the text when pickled to or from a pool worker.
+    and keeps the text when pickled by a forked worker.
     """
 
     def __init__(self, fields: dict) -> None:
@@ -718,18 +723,23 @@ def parse_family(text: str) -> FamilySpec:
 
 @dataclass(frozen=True)
 class FamilyRule:
-    """One enumerated rule: identifier, validated table, and how it was
-    built.
+    """One enumerated rule: identifier, how it was built, and its validated
+    table.
 
-    `raw` holds (position, coefficient, exponent) triples exactly as
-    enumerated, so criteria can evaluate the written exponents even
-    though the rule travels as a bare table.
+    `rule` is built from `build` on first read, so a walk that skips a rule
+    never builds its table. `raw` holds (position, coefficient, exponent)
+    triples exactly as enumerated, so criteria can evaluate the written
+    exponents even though the rule travels as a bare table.
     """
 
     rule_id: str
-    rule: RuleTable
+    build: Callable[[], RuleTable]
     raw: tuple[tuple[int, int, int], ...]
     params: tuple[tuple[str, int], ...]
+
+    @cached_property
+    def rule(self) -> RuleTable:
+        return self.build()
 
 
 def _family_size(spec: FamilySpec, cap: int) -> int:
@@ -758,58 +768,68 @@ def _family_size(spec: FamilySpec, cap: int) -> int:
     return total
 
 
-def _interior_tables(
-    m: int, cells: int, spec: FamilySpec
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+def _family_rule_count(spec: FamilySpec, caps: Caps) -> int:
+    """Number of rules `spec` enumerates; CapExceeded above the cap."""
+    total = _family_size(spec, caps.family_rules)
+    if total > caps.family_rules:
+        raise CapExceeded(f"family enumerates more than {caps.family_rules} rules")
+    return total
+
+
+def _sampled_interiors(m: int, cells: int, spec: FamilySpec) -> list | None:
+    """The N seeded interior tables of pi=sample:N over Z_m, drawn once per
+    modulus; None for pi=all."""
     sample = spec._sample_size()
     if sample is None:
-        for index, table in enumerate(itertools.product(range(m), repeat=cells)):
-            yield index, table
-    else:
-        rng = random.Random(spec.seed)
-        for index in range(sample):
-            yield index, tuple(rng.randrange(m) for _ in range(cells))
+        return None
+    rng = random.Random(spec.seed)
+    return [tuple(rng.randrange(m) for _ in range(cells)) for _ in range(sample)]
 
 
 def enumerate_family(
     spec: FamilySpec, caps: Caps = DEFAULT_CAPS
 ) -> Iterator[FamilyRule]:
     """Yield the family in deterministic order (moduli as given, then
-    positions, coefficients, exponents, interior tables).
+    positions, coefficients, exponents, interior tables). Tables are built
+    when a rule's `rule` is read.
     """
-    if _family_size(spec, caps.family_rules) > caps.family_rules:
-        raise CapExceeded(f"family enumerates more than {caps.family_rules} rules")
+    _family_rule_count(spec, caps)
     qs = range(spec.q_min, spec.q_max + 1)
     for m in spec.moduli:
         if spec.kind == "shift_like":
             for j in range(1, spec.d + 2):
                 for a in units(m):
                     for q in qs:
-                        rule = sum_rule(m, spec.d, {j: (a, q)}, caps=caps)
                         yield FamilyRule(
                             rule_id=f"m{m}-d{spec.d}-j{j}-a{a}-q{q}",
-                            rule=rule,
+                            build=partial(sum_rule, m, spec.d, {j: (a, q)}, caps=caps),
                             raw=((j, a, q),),
                             params=(("position", j), ("a", a), ("q", q)),
                         )
         elif spec.kind == "lr_separated":
             r = spec.d + 1
             cells = m ** (spec.d - 1)
+            sample = _sampled_interiors(m, cells, spec)
             for a_ell in units(m):
                 for q_ell in qs:
                     for a_r in units(m):
                         for q_r in qs:
-                            for index, interior in _interior_tables(m, cells, spec):
-                                rule = lr_separated_rule(
-                                    m, spec.d, 1, r, a_ell, q_ell, a_r, q_r,
-                                    interior, caps,
-                                )
+                            interiors = (
+                                itertools.product(range(m), repeat=cells)
+                                if sample is None
+                                else sample
+                            )
+                            for index, interior in enumerate(interiors):
                                 yield FamilyRule(
                                     rule_id=(
                                         f"m{m}-d{spec.d}-al{a_ell}-ql{q_ell}"
                                         f"-ar{a_r}-qr{q_r}-pi{index}"
                                     ),
-                                    rule=rule,
+                                    build=partial(
+                                        lr_separated_rule,
+                                        m, spec.d, 1, r, a_ell, q_ell, a_r, q_r,
+                                        interior, caps,
+                                    ),
                                     raw=((1, a_ell, q_ell), (r, a_r, q_r)),
                                     params=(
                                         ("a_ell", a_ell),
@@ -823,7 +843,7 @@ def enumerate_family(
             for code in range(m ** (m ** (spec.d + 1))):
                 yield FamilyRule(
                     rule_id=f"m{m}-d{spec.d}-t{code}",
-                    rule=rule_from_code(m, spec.d, code, caps),
+                    build=partial(rule_from_code, m, spec.d, code, caps),
                     raw=(),
                     params=(("code", code),),
                 )
@@ -855,6 +875,10 @@ def audit_row(
     }
 
 
+# rules a forked worker claims at a time
+_CHUNK = 16
+
+
 def _family_map(
     worker: Callable[[Caps, FamilyRule], object],
     spec: FamilySpec,
@@ -862,17 +886,160 @@ def _family_map(
     jobs: int,
 ) -> Iterator:
     """worker(caps, rule) for every rule of the family, in enumeration
-    order, serially or on a pool of `jobs` processes.
+    order: serially, or on min(jobs, chunks) forked children where there
+    are at least two chunks of _CHUNK rules and forking is safe. Either way
+    the same values come out, and an error is raised after the values of
+    the rules before it.
     """
     task = partial(worker, caps)
-    rules = enumerate_family(spec, caps)
-    if jobs <= 1:
-        yield from map(task, rules)
-        return
-    import multiprocessing  # here, so that calls without a pool never load it
+    if jobs > 1 and _can_fork():
+        chunks = -(-_family_rule_count(spec, caps) // _CHUNK)
+        if min(jobs, chunks) > 1:
+            yield from _forked_map(task, spec, caps, min(jobs, chunks), chunks)
+            return
+    yield from map(task, enumerate_family(spec, caps))
 
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(task, rules, chunksize=16)
+
+def _can_fork() -> bool:
+    """Whether os.fork exists and this process runs a single thread: a
+    child forked beside other threads can inherit a lock one of them held,
+    and wait on it forever."""
+    threading = sys.modules.get("threading")
+    return hasattr(os, "fork") and (threading is None or threading.active_count() == 1)
+
+
+def _forked_map(
+    task: Callable[[FamilyRule], object],
+    spec: FamilySpec,
+    caps: Caps,
+    workers: int,
+    chunks: int,
+) -> Iterator:
+    """task(rule) for every rule of the family on `workers` forked
+    children, yielded in enumeration order.
+
+    The children claim chunks through one token pipe: a child reads the
+    next chunk index and writes index + 1 back. A pipe read or write of 8
+    bytes is atomic, so each chunk goes to exactly one child. Each child
+    walks the family itself, builds the tables of its own chunks only, and
+    sends one frame (chunk, values, error or None) per chunk over its own
+    pipe, the values being those of the rules before the error. The parent
+    polls those pipes, yields each chunk's values in order and raises its
+    error after them. A pipe that closes on a child that did not exit with
+    status 0 is an error naming the child. However the generator ends,
+    every child still running is killed and reaped, and every pipe end is
+    closed.
+    """
+    import pickle  # here, so that serial calls never load these
+    import select
+
+    token_r, token_w = os.pipe()
+    fds = [token_r, token_w]
+    pids: dict[int, int] = {}  # result pipe -> child not reaped yet
+    # frozen objects are left out of collections, so a child's collector
+    # does not copy the pages of the objects it shares with the parent
+    gc.freeze()
+    try:
+        os.write(token_w, (0).to_bytes(8, "little"))
+        for _ in range(workers):
+            out_r, out_w = os.pipe()
+            fds.append(out_r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_worker(task, spec, caps, chunks, token_r, token_w, out_w)
+            finally:
+                os.close(out_w)
+            pids[out_r] = pid
+        poller = select.poll()
+        for fd in pids:
+            poller.register(fd, select.POLLIN)
+        buffers = {fd: bytearray() for fd in pids}
+        done: dict[int, tuple[list, BaseException | None]] = {}
+        for chunk in range(chunks):
+            while chunk not in done:
+                if not pids:
+                    raise RuntimeError(f"workers ended with chunk {chunk} outstanding")
+                for fd, _ in poller.poll():
+                    data = os.read(fd, 1 << 16)
+                    if not data:
+                        poller.unregister(fd)
+                        _reap(pids.pop(fd))
+                        continue
+                    buffer = buffers[fd]
+                    buffer += data
+                    while len(buffer) >= 8:
+                        end = 8 + int.from_bytes(buffer[:8], "little")
+                        if len(buffer) < end:
+                            break
+                        index, values, error = pickle.loads(buffer[8:end])
+                        done[index] = values, error
+                        del buffer[:end]
+            values, error = done.pop(chunk)
+            yield from values
+            if error is not None:
+                raise error
+    finally:
+        gc.unfreeze()
+        for pid in pids.values():
+            os.kill(pid, 9)  # SIGKILL, without loading the signal module
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
+def _reap(pid: int) -> None:
+    """Wait for a forked worker whose pipe has closed; an error unless it
+    exited with status 0."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        raise RuntimeError(f"worker {pid} was killed by signal {-code}")
+    if code > 0:
+        raise RuntimeError(f"worker {pid} exited with status {code}")
+
+
+def _forked_worker(
+    task: Callable[[FamilyRule], object],
+    spec: FamilySpec,
+    caps: Caps,
+    chunks: int,
+    token_r: int,
+    token_w: int,
+    out: int,
+) -> None:
+    """Body of one child of _forked_map; never returns. It claims chunks
+    until none is left, and ends only through os._exit, so it neither
+    flushes the stdio buffers nor runs the finally blocks it inherited.
+    """
+    status = 1
+    try:
+        import pickle
+
+        rules = enumerate_family(spec, caps)
+        walked = 0
+        while True:
+            chunk = int.from_bytes(os.read(token_r, 8), "little")
+            os.write(token_w, (chunk + 1).to_bytes(8, "little"))
+            if chunk >= chunks:
+                break
+            start = chunk * _CHUNK - walked
+            walked = (chunk + 1) * _CHUNK
+            values: list = []
+            error = None
+            try:
+                for fr in itertools.islice(rules, start, start + _CHUNK):
+                    values.append(task(fr))
+            except Exception as exc:
+                error = exc
+            frame = pickle.dumps((chunk, values, error))
+            view = memoryview(len(frame).to_bytes(8, "little") + frame)
+            while view:
+                view = view[os.write(out, view) :]
+            if error is not None:
+                break
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _audit_worker(caps: Caps, fr: FamilyRule) -> dict:

@@ -7,6 +7,10 @@ code path as the installed entry point without subprocess overhead.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -16,6 +20,7 @@ from ca_verify.cli import build_parser, main
 from ca_verify.criteria import audit, parse_family
 
 RULE_A = "m=4; d=2; f=x1^2+x2+x3^2"
+SRC = str(Path(schema.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -251,6 +256,26 @@ def test_audit_oversized_family_exits_2(tmp_path, capsys):
     assert err.startswith("cap exceeded: family enumerates")
 
 
+def test_audit_refusals_keep_their_bytes_at_any_jobs(tmp_path, capsys, monkeypatch):
+    """A cap refusal mid-family prints the rows before it, then the
+    refusal, at every --jobs; so does a family refused before its first
+    rule.
+    """
+    fam = tmp_path / "family.txt"
+    fam.write_text("kind=all_tables\nmoduli=2\nd=2\n", encoding="ascii")
+    monkeypatch.setenv("CA_VERIFY_CAPS", "pair_vertices=6")
+    runs = [run(capsys, "audit", "--family", str(fam), "--jobs", j) for j in "123"]
+    code, out, err = runs[0]
+    assert code == 2 and out.count("\n") == 15
+    assert err == "cap exceeded: pair search exceeded 6 vertices\n"
+    assert runs == [runs[0]] * 3
+
+    monkeypatch.delenv("CA_VERIFY_CAPS")
+    fam.write_text("kind=all_tables\nmoduli=13\nd=3\n", encoding="ascii")
+    runs = [run(capsys, "audit", "--family", str(fam), "--jobs", j) for j in "12"]
+    assert runs[0][0] == 2 and runs == [runs[0]] * 2
+
+
 def test_audit_prime_sufficiency_violation_exits_4(tmp_path, capsys, monkeypatch):
     """The hard-alarm path: a sufficiency break on a prime modulus must
     flip the exit code. No real rule is known to do this, so the
@@ -280,6 +305,28 @@ def test_conjecture_single_line_document(capsys):
     jsonschema.validate(doc["report"], schema.SCAN_REPORT)
     assert doc["report"]["total_rules"] == 48
     assert doc["report"]["sufficiency_violations"]["count"] == 0
+
+
+def test_conjecture_jobs_never_loads_multiprocessing():
+    """--jobs N forks its own workers: the run never imports
+    multiprocessing, whose import alone costs more than a small scan.
+    """
+    script = (
+        "import contextlib, io, sys\n"
+        "from ca_verify.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['conjecture', '--p', '3', '--d', '1', '--q-max', '2',"
+        " '--jobs', '2'])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.stdout == "0 False\n", proc.stderr
 
 
 def test_conjecture_composite_modulus_exits_1(capsys):

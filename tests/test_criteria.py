@@ -8,10 +8,21 @@ never gets to overrule the deciders.
 """
 
 import dataclasses
+import hashlib
+import os
+import random
+import re
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ca_verify import criteria
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.criteria import (
     FAILS,
@@ -32,15 +43,18 @@ from ca_verify.criteria import (
     sufficiency_violation_on_prime,
 )
 from ca_verify.decide import decide_surjective
-from ca_verify.criteria import _family_size, _hermite_verdict
+from ca_verify.criteria import _family_map, _family_size, _hermite_verdict
 from ca_verify.rule import (
     classify,
     is_permutive_at,
     parse_rule,
+    rule_from_code,
     separable_component_at,
     sum_rule,
 )
 from ca_verify.zmod import units
+
+SRC = str(Path(criteria.__file__).resolve().parent.parent)
 
 
 def verdicts(src):
@@ -398,6 +412,50 @@ def test_enumerate_family_respects_cap():
             list(enumerate_family(parse_family(text)))
 
 
+def test_enumeration_keeps_ids_and_tables(monkeypatch):
+    """Ids, written exponents and tables of a sampled and an exhaustive
+    outer-separated family, pinned from an enumeration that drew the
+    sampled interiors again for every outer exponent pair. The sample is
+    drawn once per modulus.
+    """
+    draws = []
+
+    def counted(seed):
+        draws.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(criteria, "random", SimpleNamespace(Random=counted))
+    expected = {
+        "kind=lr_separated\nmoduli=3,5\nd=2\nq_max=2\npi=sample:3\nseed=7\n": (
+            240,
+            "eab2ff4a69a629b8ab0c0704532061bacc33c66bdea1c246901a9ce159d0b5f3",
+        ),
+        "kind=lr_separated\nmoduli=3\nd=2\nq_max=2\n": (
+            432,
+            "949be13616bfbc1f3a52be581cdaaebef44a880255ebb06f7f7fe2c1dd44cb8c",
+        ),
+    }
+    for text, (count, digest) in expected.items():
+        h = hashlib.sha256()
+        rules = list(enumerate_family(parse_family(text)))
+        for fr in rules:
+            h.update(f"{fr.rule_id} {fr.raw} {fr.params} {list(fr.rule.table)}\n".encode())
+        assert (len(rules), h.hexdigest()) == (count, digest)
+    assert draws == [7, 7]  # one draw per modulus of the sampled family
+
+
+def test_enumeration_builds_only_the_tables_read(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        criteria, "rule_from_code", lambda *args: built.append(args) or rule_from_code(*args)
+    )
+    rules = list(enumerate_family(parse_family("kind=all_tables\nmoduli=2\nd=2\n")))
+    assert len(rules) == 256 and built == []
+    assert rules[40].rule.table == rule_from_code(2, 2, 40).table
+    assert rules[40].rule is rules[40].rule
+    assert built == [(2, 2, 40, DEFAULT_CAPS)]
+
+
 # --- audit -------------------------------------------------------------------------
 
 
@@ -460,6 +518,104 @@ def test_sufficiency_violation_predicate():
     assert sufficiency_violation_on_prime(row)
     assert not sufficiency_violation_on_prime({**row, "m": 4})
     assert not sufficiency_violation_on_prime({"m": 3, "discrepancies": []})
+
+
+# --- forked workers -----------------------------------------------------------------
+
+FORK = pytest.mark.skipif(
+    not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+    reason="needs os.fork and /proc/self/fd",
+)
+TABLES_M2_D2 = parse_family("kind=all_tables\nmoduli=2\nd=2\n")
+
+
+def rule_id_or_fail(caps, fr):
+    if fr.rule_id == "m2-d2-t20":
+        raise ValueError("refused t20")
+    return fr.rule_id
+
+
+def assert_no_children_and_fds(count):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == count
+
+
+@FORK
+def test_forked_map_leaves_no_children_or_pipes():
+    """A normal end, an error frame, and close() after one value each
+    leave no child unreaped and no pipe end open.
+    """
+    ids = [f"m2-d2-t{code}" for code in range(256)]
+    fds = len(os.listdir("/proc/self/fd"))
+    worker = lambda caps, fr: fr.rule_id  # noqa: E731 (forked, never pickled)
+    assert list(_family_map(worker, TABLES_M2_D2, DEFAULT_CAPS, 3)) == ids
+    assert_no_children_and_fds(fds)
+
+    values = []
+    with pytest.raises(ValueError, match="refused t20"):
+        for value in _family_map(rule_id_or_fail, TABLES_M2_D2, DEFAULT_CAPS, 2):
+            values.append(value)
+    assert values == ids[:20]
+    assert_no_children_and_fds(fds)
+
+    stream = _family_map(worker, TABLES_M2_D2, DEFAULT_CAPS, 2)
+    assert next(stream) == ids[0]
+    stream.close()
+    assert_no_children_and_fds(fds)
+
+
+@FORK
+def test_dead_worker_raises_instead_of_hanging():
+    """A worker that dies on a rule fails the run, naming its pid and
+    signal, instead of leaving the parent waiting for its chunk.
+    """
+    script = (
+        "import os, signal\n"
+        "from ca_verify import criteria\n"
+        "def worker(caps, fr):\n"
+        "    if fr.rule_id.endswith('-t40'):\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return fr.rule_id\n"
+        "spec = criteria.parse_family('kind=all_tables\\nmoduli=2\\nd=2\\n')\n"
+        "try:\n"
+        "    list(criteria._family_map(worker, spec, criteria.DEFAULT_CAPS, 2))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": SRC},
+        stdout=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the run hung on a dead worker")
+    assert proc.returncode == 0
+    assert re.fullmatch(r"worker \d+ was killed by signal 9\n", out)
+
+
+def test_jobs_run_serially_where_forking_is_unsafe(monkeypatch):
+    """Without os.fork, or beside another thread, --jobs N runs serially
+    with the same rows."""
+    serial = list(audit(TABLES_M2_D2, DEFAULT_CAPS, jobs=1))
+    monkeypatch.setattr(criteria, "_forked_map", None)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert list(audit(TABLES_M2_D2, DEFAULT_CAPS, jobs=3)) == serial
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(criteria.os, "fork", raising=False)
+    assert list(audit(TABLES_M2_D2, DEFAULT_CAPS, jobs=3)) == serial
 
 
 # --- conjecture scan ----------------------------------------------------------------
