@@ -1,0 +1,145 @@
+"""Compare the command line's outputs between a base commit and this
+checkout, byte for byte.
+
+The script exports the base commit with `bench_ab.export` (`git archive`
+into a temporary directory; no network, nothing written under .git) and
+then runs itself once per tree, each time in a fresh process with that
+tree's `src` first on sys.path. That run calls `ca_verify.cli.main` in
+process on a fixed battery and prints one line per call: the sha256 of
+(exit code, stdout, stderr), then the argv as JSON. The battery is this
+checkout's, for both trees:
+
+  * `analyze` and `witness`, json and text, on every rule of
+    `perfbench.workloads.rule_pool()`;
+  * `interpolate`, json and text, on `table_pool()` and on 40 seeded
+    random tables for each prime up to 13;
+  * `examples` in both formats;
+  * `trace` with `--width` and with `--initial` on the first pool rules;
+  * `audit` of all m=3, d=1 tables at `--jobs 1` and `--jobs 2`, and of a
+    `shift_like` family over 5, 7 and 11 with exponents up to 12 and a
+    sampled `lr_separated` family;
+  * the three `scan_sampled` conjecture calls at `--jobs 1` and `--jobs 2`.
+
+Family files are written to one directory shared by both runs, so their
+argv match. The script prints the number of calls per subcommand and
+every argv whose line differs, and exits 1 on any difference.
+
+Example:
+    python3 scripts/compare_outputs.py --base HEAD~1
+"""
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+
+from bench_ab import ROOT, export, git
+
+FAMILIES = {
+    "all_tables": "kind=all_tables\nmoduli=3\nd=1\n",
+    "shift_like": "kind=shift_like\nmoduli=5,7,11\nd=2\nq_max=12\n",
+    "lr_separated": "kind=lr_separated\nmoduli=3,5,7\nd=2\nq_max=3\npi=sample:2\nseed=7\n",
+}
+RANDOM_TABLES = 40  # per prime
+RANDOM_SEED = 20250421
+TRACED_RULES = 16
+
+
+def battery(workdir: str):
+    """Every argv of the battery, in a fixed order."""
+    from perfbench.workloads import rule_pool, scan_argv, table_pool, SCAN_SEEDS
+
+    rules = rule_pool()
+    for source in rules:
+        for command in ("analyze", "witness"):
+            for fmt in ("json", "text"):
+                yield [command, source, "--format", fmt]
+    rng = random.Random(RANDOM_SEED)
+    tables = table_pool() + [
+        (p, tuple(rng.randrange(p) for _ in range(p)))
+        for p in (2, 3, 5, 7, 11, 13)
+        for _ in range(RANDOM_TABLES)
+    ]
+    for m, values in tables:
+        for fmt in ("json", "text"):
+            yield ["interpolate", ",".join(map(str, values)), "--m", str(m), "--format", fmt]
+    for fmt in ("json", "text"):
+        yield ["examples", "--format", fmt]
+    for i, source in enumerate(rules[:TRACED_RULES]):
+        m = int(source.split(";")[0].removeprefix("m="))
+        row = ",".join(str(rng.randrange(m)) for _ in range(5 + i % 7))
+        yield ["trace", source, "--steps", "6", "--width", str(4 + i), "--seed", str(i)]
+        yield ["trace", source, "--steps", "6", "--initial", row]
+    for name, spec in FAMILIES.items():
+        path = os.path.join(workdir, f"{name}.family")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(spec)
+        for jobs in ("1", "2") if name == "all_tables" else ("1",):
+            yield ["audit", "--family", path, "--jobs", jobs]
+    for seed in SCAN_SEEDS:
+        for jobs in (1, 2):
+            yield scan_argv(seed, jobs)
+
+
+def emit(src: str, workdir: str) -> None:
+    """Run the battery against the package in `src` and print its lines."""
+    sys.path[:0] = [src, ROOT]
+    from ca_verify import cli
+
+    for argv in battery(workdir):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        record = json.dumps([code, out.getvalue(), err.getvalue()])
+        digest = hashlib.sha256(record.encode()).hexdigest()
+        print(digest, json.dumps(argv), flush=True)
+
+
+def run_tree(tree: str, workdir: str) -> list[tuple[str, str]]:
+    argv = [sys.executable, os.path.abspath(__file__),
+            "--emit", os.path.join(tree, "src"), "--workdir", workdir]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"the battery failed in {tree} (exit {proc.returncode}):\n"
+                         f"{proc.stderr[-2000:]}")
+    return [tuple(line.split(" ", 1)) for line in proc.stdout.splitlines()]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="commit to compare against")
+    parser.add_argument("--emit", help=argparse.SUPPRESS)
+    parser.add_argument("--workdir", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit, args.workdir)
+        return 0
+
+    base_rev = git("rev-parse", args.base)
+    with tempfile.TemporaryDirectory(prefix="compare-outputs-") as scratch:
+        export(base_rev, scratch)
+        workdir = os.path.join(scratch, "families")
+        os.mkdir(workdir)
+        base = run_tree(os.path.join(scratch, "tree"), workdir)
+        candidate = run_tree(ROOT, workdir)
+    if [a for _, a in base] != [a for _, a in candidate]:
+        raise SystemExit("the two runs called different argv lists")
+    counts = collections.Counter(json.loads(a)[0] for _, a in candidate)
+    differing = [a for (b, a), (c, _) in zip(base, candidate) if b != c]
+    print(f"base {base_rev}: {len(candidate)} calls "
+          + ", ".join(f"{name} {n}" for name, n in sorted(counts.items())))
+    for a in differing:
+        print(f"differs: {a}")
+    print(f"{len(differing)} differences")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

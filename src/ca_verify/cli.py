@@ -474,7 +474,7 @@ def cmd_trace(ns, caps: Caps, argv: Sequence[str]) -> int:
     rule, expr, rule_id = _load_rule(ns, caps)
     if ns.steps < 1:
         raise _UsageError("--steps must be at least 1")
-    if ns.initial and ns.width:
+    if ns.initial and ns.width is not None:
         raise _UsageError("give either --initial or --width, not both")
     seed: int | None = None
     if ns.initial:
@@ -484,7 +484,7 @@ def cmd_trace(ns, caps: Caps, argv: Sequence[str]) -> int:
             raise _UsageError(f"bad --initial {ns.initial!r}") from None
         if not cells or any(not 0 <= c < rule.m for c in cells):
             raise _UsageError(f"--initial letters must lie in [0, {rule.m})")
-    elif ns.width:
+    elif ns.width is not None:
         if ns.width < 1:
             raise _UsageError("--width must be at least 1")
         seed = ns.seed
@@ -575,10 +575,10 @@ def build_parser() -> _ArgumentParser:
     def common_rule_args(p) -> None:
         p.add_argument("rule", nargs="?", help="rule source, e.g. 'm=3; d=1; f=x1+x2'")
         p.add_argument("--table-file", help="rule table file ('m d' header plus entries)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("analyze", help="full report on one rule")
     common_rule_args(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--expect", help="comma list: surjective, non-surjective, injective, non-injective")
     p.add_argument("--timings", action="store_true", help="include wall-clock timings")
     p.add_argument("--output", help="write the report to a file instead of stdout")
@@ -608,6 +608,7 @@ def build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("witness", help="extract a non-injectivity witness")
     common_rule_args(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("trace", help="render a periodic orbit as an ASCII PGM image")

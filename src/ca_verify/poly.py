@@ -2,8 +2,9 @@
 
 Coefficients are stored lowest degree first with no trailing zeros, so
 two Poly values are equal iff they are the same reduced polynomial.
-Division and gcd are restricted to prime moduli, where Z_m is a field;
-everything else works for any modulus.
+Interpolation and the derivative-gcd test need a prime modulus, where
+each has a closed form that evaluates values instead of multiplying or
+dividing polynomials; everything else works for any modulus.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
     def evaluate(self, x: int) -> int:
         x %= self.m
         acc = 0
@@ -57,76 +55,6 @@ class Poly:
         return poly_text(self)
 
 
-def zero(m: int) -> Poly:
-    return Poly.make(m, ())
-
-
-def one(m: int) -> Poly:
-    return Poly.make(m, (1,))
-
-
-def poly_add(f: Poly, g: Poly) -> Poly:
-    _same_modulus(f, g)
-    n = max(len(f.coeffs), len(g.coeffs))
-    fc = f.coeffs + (0,) * (n - len(f.coeffs))
-    gc = g.coeffs + (0,) * (n - len(g.coeffs))
-    return Poly.make(f.m, (a + b for a, b in zip(fc, gc)))
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    _same_modulus(f, g)
-    if f.is_zero() or g.is_zero():
-        return zero(f.m)
-    out = [0] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = (out[i + j] + a * b) % f.m
-    return Poly.make(f.m, out)
-
-
-def poly_scale(f: Poly, c: int) -> Poly:
-    return Poly.make(f.m, (c * a for a in f.coeffs))
-
-
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division over a prime field; raises for composite moduli."""
-    _same_modulus(f, g)
-    p = f.m
-    if not is_prime(p):
-        raise ValueError(f"polynomial division needs a prime modulus, got {p}")
-    if g.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f.coeffs)
-    quo = [0] * max(0, len(rem) - len(g.coeffs) + 1)
-    lead_inv = pow(g.coeffs[-1], -1, p)
-    dg = g.degree
-    for i in range(len(rem) - 1, dg - 1, -1):
-        if rem[i] == 0:
-            continue
-        factor = rem[i] * lead_inv % p
-        quo[i - dg] = factor
-        for j, b in enumerate(g.coeffs):
-            rem[i - dg + j] = (rem[i - dg + j] - factor * b) % p
-    return Poly.make(p, quo), Poly.make(p, rem)
-
-
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over a prime field; gcd(0, 0) is the zero polynomial."""
-    _same_modulus(f, g)
-    p = f.m
-    if not is_prime(p):
-        raise ValueError(f"polynomial gcd needs a prime modulus, got {p}")
-    a, b = f, g
-    while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero():
-        return a
-    return poly_scale(a, pow(a.coeffs[-1], -1, p))
-
-
 def is_permutation_poly(f: Poly) -> bool:
     """Exhaustive test: does f permute Z_m?"""
     return len(set(f.table())) == f.m
@@ -139,40 +67,36 @@ def hermite_criterion(f: Poly) -> bool:
 
     Kept deliberately in this form, without corrections or strengthening;
     audits compare it against is_permutation_poly, which is ground truth.
+
+    Over Z_p, x**p - x is the product of the linear factors x - a, so the
+    gcd is 1 exactly when f'(a) != 0 for every a in Z_p. That holds for
+    f' = 0 too, whose gcd with x**p - x is x**p - x.
     """
     p = f.m
     if not is_prime(p):
         raise ValueError(f"the derivative-gcd test needs a prime modulus, got {p}")
     if f.degree >= p:
         return False
-    xp_minus_x = Poly.make(p, [0, -1] + [0] * (p - 2) + [1])
-    return poly_gcd(f.derivative(), xp_minus_x).is_one()
+    df = f.derivative()
+    return all(df.evaluate(a) for a in range(p))
 
 
 def interpolate_prime(values: Sequence[int], p: int) -> Poly:
     """The unique polynomial of degree < p matching `values` on Z_p.
 
-    Lagrange interpolation at the points 0, 1, ..., p-1.
+    As C(p-1, k) = (-1)**k mod p, (x - a)**(p-1) = sum_k x**k * a**(p-1-k)
+    with 0**0 = 1, and 1 - (x - a)**(p-1) is the indicator of a. Summing
+    f(a) times it over a gives the Lagrange interpolant at 0, ..., p-1:
+    c_0 = f(0) and c_k = -sum_a f(a) * a**(p-1-k) for 1 <= k < p.
     """
     check_modulus(p)
     if not is_prime(p):
         raise ValueError(f"interpolation needs a prime modulus, got {p}")
     if len(values) != p:
         raise ValueError(f"expected {p} values, got {len(values)}")
-    vals = [v % p for v in values]
-    acc = zero(p)
-    for i, v in enumerate(vals):
-        if v == 0:
-            continue
-        basis = one(p)
-        denom = 1
-        for j in range(p):
-            if j == i:
-                continue
-            basis = poly_mul(basis, Poly.make(p, (-j, 1)))
-            denom = denom * (i - j) % p
-        acc = poly_add(acc, poly_scale(basis, v * pow(denom, -1, p)))
-    return acc
+    # sums[j] = sum_a f(a) * a**j, so c_k = -sums[p-1-k]
+    sums = [sum(v * pow(a, j, p) for a, v in enumerate(values)) for j in range(p - 1)]
+    return Poly.make(p, [values[0]] + [-s for s in reversed(sums)])
 
 
 def representability_search(
@@ -258,7 +182,7 @@ def poly_text(f: Poly) -> str:
         return "0"
     parts = []
     for e in range(f.degree, -1, -1):
-        c = f.coeffs[e] if e < len(f.coeffs) else 0
+        c = f.coeffs[e]
         if c == 0:
             continue
         if e == 0:
@@ -269,7 +193,3 @@ def poly_text(f: Poly) -> str:
             parts.append(f"x^{e}" if c == 1 else f"{c}*x^{e}")
     return " + ".join(parts)
 
-
-def _same_modulus(f: Poly, g: Poly) -> None:
-    if f.m != g.m:
-        raise ValueError(f"modulus mismatch: {f.m} vs {g.m}")

@@ -609,16 +609,16 @@ class _Parser:
         self.expect("punct", ";")
         self.expect("name", "f")
         self.expect("punct", "=")
-        terms = [self._term(m, d)]
+        terms = [self._term(d)]
         while self.peek()[:2] == ("punct", "+"):
             self.advance()
-            terms.append(self._term(m, d))
+            terms.append(self._term(d))
         tok = self.peek()
         if tok[0] != "end":
             raise RuleParseError(f"trailing input {tok[1]!r}", tok[2])
         return RuleExpression(m, d, tuple(terms), self.source)
 
-    def _term(self, m: int, d: int) -> tuple[int, int | None, int]:
+    def _term(self, d: int) -> tuple[int, int | None, int]:
         tok = self.peek()
         if tok[0] == "int":
             coeff = int(self.advance()[1])

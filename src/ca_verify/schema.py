@@ -13,330 +13,183 @@ _VERDICT_VALUES = ["holds", "fails", "not_applicable"]
 
 _INT_ARRAY = {"type": "array", "items": {"type": "integer"}}
 
+
+def _closed(properties: dict) -> dict:
+    """An object with exactly these properties, every one of them required."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
+
+
 _WITNESS = {
     "oneOf": [
         {"type": "null"},
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "unbalanced_word"},
-                "word": _INT_ARRAY,
-                "count": {"type": "integer"},
-                "expected": {"type": "integer"},
-            },
-            "required": ["kind", "word", "count", "expected"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "diamond"},
-                "u": _INT_ARRAY,
-                "v": _INT_ARRAY,
-            },
-            "required": ["kind", "u", "v"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "periodic_pair"},
-                "x": _INT_ARRAY,
-                "y": _INT_ARRAY,
-            },
-            "required": ["kind", "x", "y"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "kind": {"const": "permutivity_collision"},
-                "position": {"type": "integer"},
-                "context": _INT_ARRAY,
-                "colliding_values": _INT_ARRAY,
-                "output": {"type": "integer"},
-            },
-            "required": ["kind", "position", "context", "colliding_values", "output"],
-            "additionalProperties": False,
-        },
+        _closed({
+            "kind": {"const": "unbalanced_word"},
+            "word": _INT_ARRAY,
+            "count": {"type": "integer"},
+            "expected": {"type": "integer"},
+        }),
+        _closed({
+            "kind": {"const": "diamond"},
+            "u": _INT_ARRAY,
+            "v": _INT_ARRAY,
+        }),
+        _closed({
+            "kind": {"const": "periodic_pair"},
+            "x": _INT_ARRAY,
+            "y": _INT_ARRAY,
+        }),
+        _closed({
+            "kind": {"const": "permutivity_collision"},
+            "position": {"type": "integer"},
+            "context": _INT_ARRAY,
+            "colliding_values": _INT_ARRAY,
+            "output": {"type": "integer"},
+        }),
     ]
 }
 
-_CRITERION = {
-    "type": "object",
-    "properties": {
-        "criterion": {"type": "string"},
-        "position": {"type": ["integer", "null"]},
-        "value": {"enum": _VERDICT_VALUES},
-        "raw_value": {"enum": _VERDICT_VALUES + [None]},
-        "canonical_value": {"enum": _VERDICT_VALUES + [None]},
-        "note": {"type": ["string", "null"]},
-    },
-    "required": ["criterion", "position", "value", "raw_value", "canonical_value", "note"],
-    "additionalProperties": False,
-}
+_CRITERION = _closed({
+    "criterion": {"type": "string"},
+    "position": {"type": ["integer", "null"]},
+    "value": {"enum": _VERDICT_VALUES},
+    "raw_value": {"enum": _VERDICT_VALUES + [None]},
+    "canonical_value": {"enum": _VERDICT_VALUES + [None]},
+    "note": {"type": ["string", "null"]},
+})
 
-_DISCREPANCY = {
-    "type": "object",
-    "properties": {
-        "criterion": {"type": "string"},
-        "position": {"type": ["integer", "null"]},
-        "property": {"enum": ["permutive", "surjective", "injective", "bijective"]},
-        "expected": {"type": "boolean"},
-        "observed": {"type": "boolean"},
-        "witness": _WITNESS,
-    },
-    "required": ["criterion", "position", "property", "expected", "observed", "witness"],
-    "additionalProperties": False,
-}
+_DISCREPANCY = _closed({
+    "criterion": {"type": "string"},
+    "position": {"type": ["integer", "null"]},
+    "property": {"enum": ["permutive", "surjective", "injective", "bijective"]},
+    "expected": {"type": "boolean"},
+    "observed": {"type": "boolean"},
+    "witness": _WITNESS,
+})
 
-_CLASSIFICATION = {
-    "type": "object",
-    "properties": {
-        "essential_positions": _INT_ARRAY,
-        "components": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "position": {"type": "integer"},
-                    "coefficient": {"type": "integer"},
-                    "exponent": {"type": "integer"},
-                },
-                "required": ["position", "coefficient", "exponent"],
-                "additionalProperties": False,
-            },
-        },
-        "lr_separated": {"type": "boolean"},
-        "totally_separated": {"type": "boolean"},
-        "shift_like": {"type": "boolean"},
-        "leftmost": {"type": ["integer", "null"]},
-        "rightmost": {"type": ["integer", "null"]},
+_CLASSIFICATION = _closed({
+    "essential_positions": _INT_ARRAY,
+    "components": {
+        "type": "array",
+        "items": _closed({
+            "position": {"type": "integer"},
+            "coefficient": {"type": "integer"},
+            "exponent": {"type": "integer"},
+        }),
     },
-    "required": [
-        "essential_positions",
-        "components",
-        "lr_separated",
-        "totally_separated",
-        "shift_like",
-        "leftmost",
-        "rightmost",
-    ],
-    "additionalProperties": False,
-}
+    "lr_separated": {"type": "boolean"},
+    "totally_separated": {"type": "boolean"},
+    "shift_like": {"type": "boolean"},
+    "leftmost": {"type": ["integer", "null"]},
+    "rightmost": {"type": ["integer", "null"]},
+})
 
 _PERMUTIVE_LIST = {
     "type": "array",
-    "items": {
-        "type": "object",
-        "properties": {
-            "position": {"type": "integer"},
-            "verdict": {"type": "boolean"},
-        },
-        "required": ["position", "verdict"],
-        "additionalProperties": False,
-    },
+    "items": _closed({
+        "position": {"type": "integer"},
+        "verdict": {"type": "boolean"},
+    }),
 }
 
-_DECIDED = {
-    "type": "object",
-    "properties": {"verdict": {"type": "boolean"}, "witness": _WITNESS},
-    "required": ["verdict", "witness"],
-    "additionalProperties": False,
-}
+_DECIDED = _closed({"verdict": {"type": "boolean"}, "witness": _WITNESS})
 
 _TIMINGS = {
     "oneOf": [
         {"type": "null"},
-        {
-            "type": "object",
-            "properties": {"seconds": {"type": "number"}},
-            "required": ["seconds"],
-            "additionalProperties": False,
-        },
+        _closed({"seconds": {"type": "number"}}),
     ]
 }
 
-ANALYSIS_REPORT = {
-    "type": "object",
-    "properties": {
-        "id": {"type": ["string", "null"]},
-        "rule": {
-            "type": "object",
-            "properties": {
-                "m": {"type": "integer"},
-                "d": {"type": "integer"},
-                "expression": {"type": ["string", "null"]},
-                "table": _INT_ARRAY,
-            },
-            "required": ["m", "d", "expression", "table"],
-            "additionalProperties": False,
-        },
-        "classification": _CLASSIFICATION,
-        "permutive": _PERMUTIVE_LIST,
-        "surjective": _DECIDED,
-        "injective": _DECIDED,
-        "criteria": {"type": "array", "items": _CRITERION},
-        "discrepancies": {"type": "array", "items": _DISCREPANCY},
-        "timings": _TIMINGS,
-    },
-    "required": [
-        "id",
-        "rule",
-        "classification",
-        "permutive",
-        "surjective",
-        "injective",
-        "criteria",
-        "discrepancies",
-        "timings",
-    ],
-    "additionalProperties": False,
-}
+_RULE = _closed({
+    "m": {"type": "integer"},
+    "d": {"type": "integer"},
+    "expression": {"type": ["string", "null"]},
+    "table": _INT_ARRAY,
+})
 
-AUDIT_ROW = {
-    "type": "object",
-    "properties": {
-        "id": {"type": "string"},
-        "m": {"type": "integer"},
-        "d": {"type": "integer"},
-        "params": {"type": "object", "additionalProperties": {"type": "integer"}},
-        "surjective": {"type": "boolean"},
-        "injective": {"type": "boolean"},
-        "permutive": _PERMUTIVE_LIST,
-        "criteria": {"type": "array", "items": _CRITERION},
-        "discrepancies": {"type": "array", "items": _DISCREPANCY},
-    },
-    "required": [
-        "id",
-        "m",
-        "d",
-        "params",
-        "surjective",
-        "injective",
-        "permutive",
-        "criteria",
-        "discrepancies",
-    ],
-    "additionalProperties": False,
-}
+ANALYSIS_REPORT = _closed({
+    "id": {"type": ["string", "null"]},
+    "rule": _RULE,
+    "classification": _CLASSIFICATION,
+    "permutive": _PERMUTIVE_LIST,
+    "surjective": _DECIDED,
+    "injective": _DECIDED,
+    "criteria": {"type": "array", "items": _CRITERION},
+    "discrepancies": {"type": "array", "items": _DISCREPANCY},
+    "timings": _TIMINGS,
+})
 
-_ID_LIST = {
-    "type": "object",
-    "properties": {
-        "count": {"type": "integer"},
-        "ids": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": ["count", "ids"],
-    "additionalProperties": False,
-}
+AUDIT_ROW = _closed({
+    "id": {"type": "string"},
+    "m": {"type": "integer"},
+    "d": {"type": "integer"},
+    "params": {"type": "object", "additionalProperties": {"type": "integer"}},
+    "surjective": {"type": "boolean"},
+    "injective": {"type": "boolean"},
+    "permutive": _PERMUTIVE_LIST,
+    "criteria": {"type": "array", "items": _CRITERION},
+    "discrepancies": {"type": "array", "items": _DISCREPANCY},
+})
 
-SCAN_REPORT = {
-    "type": "object",
-    "properties": {
-        "modulus": {"type": "integer"},
-        "diameter": {"type": "integer"},
-        "exponent_min": {"type": "integer"},
-        "exponent_max": {"type": "integer"},
-        "pi": {"type": "string"},
-        "seed": {"type": "integer"},
-        "total_rules": {"type": "integer"},
-        "surjective_rules": {"type": "integer"},
-        "sufficiency_violations": _ID_LIST,
-        "necessity_counterexamples": _ID_LIST,
-        "runtime": _TIMINGS,
-    },
-    "required": [
-        "modulus",
-        "diameter",
-        "exponent_min",
-        "exponent_max",
-        "pi",
-        "seed",
-        "total_rules",
-        "surjective_rules",
-        "sufficiency_violations",
-        "necessity_counterexamples",
-        "runtime",
-    ],
-    "additionalProperties": False,
-}
+_ID_LIST = _closed({
+    "count": {"type": "integer"},
+    "ids": {"type": "array", "items": {"type": "string"}},
+})
 
-EXAMPLE_CHECK = {
-    "type": "object",
-    "properties": {
-        "rule": {"type": "string"},
-        "claim": {"type": "string"},
-        "expected": {"type": "string"},
-        "computed": {"type": "string"},
-        "status": {"enum": ["CONFIRMED", "DISCREPANCY"]},
-    },
-    "required": ["rule", "claim", "expected", "computed", "status"],
-    "additionalProperties": False,
-}
+SCAN_REPORT = _closed({
+    "modulus": {"type": "integer"},
+    "diameter": {"type": "integer"},
+    "exponent_min": {"type": "integer"},
+    "exponent_max": {"type": "integer"},
+    "pi": {"type": "string"},
+    "seed": {"type": "integer"},
+    "total_rules": {"type": "integer"},
+    "surjective_rules": {"type": "integer"},
+    "sufficiency_violations": _ID_LIST,
+    "necessity_counterexamples": _ID_LIST,
+    "runtime": _TIMINGS,
+})
 
-EXAMPLES_REPORT = {
-    "type": "object",
-    "properties": {
-        "checks": {"type": "array", "items": EXAMPLE_CHECK},
-        "discrepancy_count": {"type": "integer"},
-    },
-    "required": ["checks", "discrepancy_count"],
-    "additionalProperties": False,
-}
+EXAMPLE_CHECK = _closed({
+    "rule": {"type": "string"},
+    "claim": {"type": "string"},
+    "expected": {"type": "string"},
+    "computed": {"type": "string"},
+    "status": {"enum": ["CONFIRMED", "DISCREPANCY"]},
+})
 
-WITNESS_REPORT = {
-    "type": "object",
-    "properties": {
-        "rule": {
-            "type": "object",
-            "properties": {
-                "m": {"type": "integer"},
-                "d": {"type": "integer"},
-                "expression": {"type": ["string", "null"]},
-                "table": _INT_ARRAY,
-            },
-            "required": ["m", "d", "expression", "table"],
-            "additionalProperties": False,
-        },
-        "injective": {"type": "boolean"},
-        "witness": _WITNESS,
-        "validated": {"type": ["boolean", "null"]},
-    },
-    "required": ["rule", "injective", "witness", "validated"],
-    "additionalProperties": False,
-}
+EXAMPLES_REPORT = _closed({
+    "checks": {"type": "array", "items": EXAMPLE_CHECK},
+    "discrepancy_count": {"type": "integer"},
+})
 
-INTERPOLATE_REPORT = {
-    "type": "object",
-    "properties": {
-        "m": {"type": "integer"},
-        "values": _INT_ARRAY,
-        "representable": {"type": "boolean"},
-        "polynomial": {"type": ["string", "null"]},
-        "coefficients": {"oneOf": [{"type": "null"}, _INT_ARRAY]},
-    },
-    "required": ["m", "values", "representable", "polynomial", "coefficients"],
-    "additionalProperties": False,
-}
+WITNESS_REPORT = _closed({
+    "rule": _RULE,
+    "injective": {"type": "boolean"},
+    "witness": _WITNESS,
+    "validated": {"type": ["boolean", "null"]},
+})
 
-DOCUMENT = {
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "command": {
-            "type": "object",
-            "properties": {
-                "name": {"type": "string"},
-                "argv": {"type": "array", "items": {"type": "string"}},
-            },
-            "required": ["name", "argv"],
-            "additionalProperties": False,
-        },
-        "report": {"type": "object"},
-        "witnesses": {"type": "array", "items": _WITNESS},
-        "exit_status": {"type": "integer"},
-    },
-    "required": ["schema_version", "command", "report", "witnesses", "exit_status"],
-    "additionalProperties": False,
-}
+INTERPOLATE_REPORT = _closed({
+    "m": {"type": "integer"},
+    "values": _INT_ARRAY,
+    "representable": {"type": "boolean"},
+    "polynomial": {"type": ["string", "null"]},
+    "coefficients": {"oneOf": [{"type": "null"}, _INT_ARRAY]},
+})
+
+DOCUMENT = _closed({
+    "schema_version": {"const": SCHEMA_VERSION},
+    "command": _closed({
+        "name": {"type": "string"},
+        "argv": {"type": "array", "items": {"type": "string"}},
+    }),
+    "report": {"type": "object"},
+    "witnesses": {"type": "array", "items": _WITNESS},
+    "exit_status": {"type": "integer"},
+})

@@ -418,6 +418,12 @@ def test_trace_argument_validation(capsys):
     assert run(capsys, *base, "--steps", "2", "--initial", "1,2", "--width", "4")[0] == 1
     assert run(capsys, *base, "--steps", "2", "--initial", "1,9")[0] == 1
     assert run(capsys, *base, "--steps", "2", "--initial", "a,b")[0] == 1
+    for width in ("0", "-1"):
+        assert run(capsys, *base, "--steps", "1", "--width", width) == (
+            1, "", "error: --width must be at least 1\n"
+        )
+    code, out, err = run(capsys, *base, "--steps", "1", "--width", "4", "--format", "json")
+    assert (code, out) == (1, "") and "--format" in err
 
 
 def test_trace_output_file(tmp_path, capsys):

@@ -2,6 +2,10 @@
 representability search over composite rings, and the deliberately
 simplified derivative-gcd permutation test.
 
+Interpolation and the derivative-gcd test are computed in closed form;
+poly_oracle keeps the Lagrange products and the Euclidean gcd they
+replaced, and the tests below hold the two forms equal.
+
 The derivative-gcd test is kept in its plain form on purpose, so a few
 tests below pin down inputs where it disagrees with the exhaustive
 permutation check. Those disagreements are data, not bugs; the criteria
@@ -19,13 +23,17 @@ from ca_verify.poly import (
     hermite_criterion,
     interpolate_prime,
     is_permutation_poly,
-    poly_add,
-    poly_gcd,
-    poly_mul,
     poly_text,
     representability_search,
 )
 from ca_verify.zmod import kempner
+from poly_oracle import (
+    gcd_hermite_criterion,
+    lagrange_interpolate,
+    poly_add,
+    poly_gcd,
+    poly_mul,
+)
 from representability_oracle import enumerated_representability
 
 primes = st.sampled_from((2, 3, 5, 7))
@@ -67,6 +75,20 @@ def test_interpolate_prime_round_trips(p, data):
     f = interpolate_prime(values, p)
     assert f.table() == values
     assert f.degree < p
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_interpolate_prime_matches_lagrange_exhaustive(p):
+    for values in itertools.product(range(p), repeat=p):
+        assert interpolate_prime(values, p) == lagrange_interpolate(values, p)
+
+
+@given(st.sampled_from((7, 11, 13)), st.data())
+def test_interpolate_prime_matches_lagrange(p, data):
+    """Values outside [0, p) are drawn too: both forms reduce them."""
+    entries = st.integers(min_value=-2 * p, max_value=2 * p)
+    values = data.draw(st.lists(entries, min_size=p, max_size=p))
+    assert interpolate_prime(values, p) == lagrange_interpolate(values, p)
 
 
 def test_representability_search_known_values():
@@ -162,6 +184,24 @@ def test_derivative_gcd_test_degree_gate():
     # degree >= p fails the test even when the function permutes
     assert not hermite_criterion(Poly.make(5, (0, 0, 0, 0, 0, 1)))
     assert is_permutation_poly(Poly.make(5, (0, 0, 0, 0, 0, 1)))
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_derivative_gcd_test_matches_gcd_form_exhaustive(p):
+    """Every coefficient tuple up to degree p + 1, so the degree gate and
+    the zero derivative (f constant, or f = x**p) are both reached.
+    """
+    for coeffs in itertools.product(range(p), repeat=p + 2):
+        f = Poly.make(p, coeffs)
+        assert hermite_criterion(f) == gcd_hermite_criterion(f), f
+
+
+@given(st.sampled_from((5, 7, 11, 13)), st.data())
+def test_derivative_gcd_test_matches_gcd_form(p, data):
+    digits = st.integers(min_value=0, max_value=p - 1)
+    coeffs = data.draw(st.lists(digits, max_size=p + 2))
+    f = Poly.make(p, coeffs)
+    assert hermite_criterion(f) == gcd_hermite_criterion(f)
 
 
 def test_derivative_gcd_test_needs_prime_modulus():
