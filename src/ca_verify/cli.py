@@ -474,10 +474,10 @@ def cmd_trace(ns, caps: Caps, argv: Sequence[str]) -> int:
     rule, expr, rule_id = _load_rule(ns, caps)
     if ns.steps < 1:
         raise _UsageError("--steps must be at least 1")
-    if ns.initial and ns.width is not None:
+    if ns.initial is not None and ns.width is not None:
         raise _UsageError("give either --initial or --width, not both")
     seed: int | None = None
-    if ns.initial:
+    if ns.initial is not None:
         try:
             cells = tuple(int(part) for part in ns.initial.split(","))
         except ValueError:

@@ -214,11 +214,6 @@ def _facts_at(rule: RuleTable, j: int) -> ColumnFacts:
     return _column_pass(rule)[j - 1]
 
 
-def essential_positions(rule: RuleTable) -> tuple[int, ...]:
-    """1-based positions the rule actually depends on."""
-    return tuple(j for j, f in enumerate(_column_pass(rule), 1) if f.essential)
-
-
 def is_permutive_at(rule: RuleTable, j: int) -> bool:
     """Brute-force permutivity test: with every other coordinate fixed,
     coordinate j must act as a bijection of Z_m. Ground truth for all
@@ -355,12 +350,12 @@ def interior_table(rule: RuleTable, ell: int, r: int) -> tuple[int, ...]:
 
 # --- rule builders -----------------------------------------------------------
 #
-# Every sum-of-monomials front end (monomial_rule, sum_rule,
-# lr_separated_rule, RuleExpression.table) builds its table in build_rule,
-# as an outer sum of one value table per position: no window is evaluated
-# on its own. Each front end checks its arguments first; build_rule then
-# leaves the diameter and the table cap to RuleTable.make, before any part
-# is built, so bad input is refused as it always was.
+# Every sum-of-monomials front end (sum_rule, lr_separated_rule,
+# RuleExpression.table) builds its table in build_rule, as an outer sum
+# of one value table per position: no window is evaluated on its own.
+# Each front end checks its arguments first; build_rule then leaves the
+# diameter and the table cap to RuleTable.make, before any part is
+# built, so bad input is refused as it always was.
 
 
 def build_rule(
@@ -420,17 +415,6 @@ def _outer_sum(
         j += width
     for t in table:
         yield t % m
-
-
-def monomial_rule(
-    m: int, d: int, j: int, a: int, q: int, caps: Caps = DEFAULT_CAPS
-) -> RuleTable:
-    """f(window) = a * x_j^q."""
-    if not 1 <= j <= d + 1:
-        raise ValueError(f"position {j} out of range [1, {d + 1}]")
-    if q < 1:
-        raise ValueError(f"monomial exponent must be >= 1, got {q}")
-    return build_rule(m, d, [(a, j, q)], caps=caps)
 
 
 def sum_rule(

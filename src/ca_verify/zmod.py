@@ -106,15 +106,3 @@ def exponent_search_bound(m: int) -> int:
     [1, kempner(m) + totient(m)].
     """
     return kempner(m) + totient(m)
-
-
-def monomial_is_bijective(a: int, q: int, m: int) -> bool:
-    table = monomial_table(a, q, m)
-    return len(set(table)) == m
-
-
-def monomial_invert(a: int, q: int, b: int, m: int) -> tuple[int, ...]:
-    """All x in Z_m with a * x**q == b, in increasing order."""
-    table = monomial_table(a, q, m)
-    b %= m
-    return tuple(x for x in range(m) if table[x] == b)

@@ -41,7 +41,6 @@ from ca_verify.criteria import (
     criterion_totient_permutivity,
 )
 from ca_verify.decide import (
-    bipermutive_collision,
     count_preimages,
     decide_injective,
     decide_surjective,
@@ -57,12 +56,12 @@ from ca_verify.rule import (
     classify,
     is_permutive_at,
     lr_separated_rule,
-    monomial_rule,
     parse_rule,
     rule_from_code,
     sum_rule,
 )
-from ca_verify.zmod import monomial_is_bijective, units
+from ca_verify.zmod import units
+from bipermutive_oracle import bipermutive_collision, monomial_is_bijective
 
 
 @contextlib.contextmanager
@@ -279,7 +278,7 @@ def test_ac06_totient_equivalence_and_mod4_audit():
         for m in (3, 5, 7):
             for a in units(m):
                 for q in range(1, 13):
-                    rule = monomial_rule(m, 0, 1, a, q)
+                    rule = sum_rule(m, 0, {1: (a, q)})
                     verdict = criterion_totient_permutivity(rule, classify(rule), 1)
                     assert verdict.applicable
                     predicted = verdict.canonical_value == HOLDS

@@ -424,6 +424,13 @@ def test_trace_argument_validation(capsys):
         )
     code, out, err = run(capsys, *base, "--steps", "1", "--width", "4", "--format", "json")
     assert (code, out) == (1, "") and "--format" in err
+    # an empty --initial is given, not absent
+    assert run(capsys, *base, "--steps", "1", "--initial", "") == (
+        1, "", "error: bad --initial ''\n"
+    )
+    assert run(capsys, *base, "--steps", "1", "--initial", "", "--width", "3") == (
+        1, "", "error: give either --initial or --width, not both\n"
+    )
 
 
 def test_trace_output_file(tmp_path, capsys):

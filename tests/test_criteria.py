@@ -320,10 +320,8 @@ def test_totient_criterion_one_sided_everywhere_exact_on_primes(m, q):
     """
     from ca_verify.zmod import is_prime
 
-    from ca_verify.rule import monomial_rule
-
     for a in units(m):
-        rule = monomial_rule(m, 0, 1, a, q)
+        rule = sum_rule(m, 0, {1: (a, q)})
         cls = classify(rule)
         verdict = criterion_totient_permutivity(rule, cls, 1, raw_exponents={1: (a, q)})
         oracle = is_permutive_at(rule, 1)

@@ -1,13 +1,12 @@
 """Every module-level function and class of ca_verify is reached: used by
-name or attribute somewhere in the package or its scripts, or, when
-public, exported through ca_verify.__all__. Code only tests call belongs
-in tests, and a private search or helper goes with its last caller.
+name or attribute somewhere in the package, its scripts or perfbench.
+Being listed in ca_verify.__all__ does not count as a caller. Code only
+tests call belongs in tests, and a private search or helper goes with
+its last caller.
 """
 
 import ast
 from pathlib import Path
-
-import ca_verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -17,8 +16,10 @@ def unreached_definitions(private: bool) -> list[str]:
     function and class of the package that nothing reaches.
     """
     package = sorted((ROOT / "src" / "ca_verify").glob("*.py"))
-    scripts = sorted((ROOT / "scripts").glob("*.py"))
-    trees = [ast.parse(path.read_text()) for path in package + scripts]
+    callers = sorted((ROOT / "scripts").glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py")
+    )
+    trees = [ast.parse(path.read_text()) for path in package + callers]
     used = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -33,8 +34,7 @@ def unreached_definitions(private: bool) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and node.name.startswith("_") == private
     ]
-    reached = used if private else used | set(ca_verify.__all__)
-    return [name for name in defined if name.split(".")[1] not in reached]
+    return [name for name in defined if name.split(".")[1] not in used]
 
 
 def test_every_public_definition_has_a_caller():
@@ -44,4 +44,6 @@ def test_every_public_definition_has_a_caller():
 
 def test_every_private_definition_has_a_caller():
     unreached = unreached_definitions(private=True)
-    assert not unreached, f"no caller in the package or its scripts: {', '.join(unreached)}"
+    assert not unreached, (
+        f"no caller in the package, its scripts or perfbench: {', '.join(unreached)}"
+    )

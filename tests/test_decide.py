@@ -1,6 +1,7 @@
 """Exact deciders for surjectivity and injectivity, their finite
-witnesses, and the constructive collision for rules permutive at two
-separated end positions.
+witnesses, the constructive collision for rules permutive at two
+separated end positions (bipermutive_oracle.py), and the closed-form
+verdicts of linear rules.
 
 Soundness is tested in both directions: every negative verdict must
 carry a witness that revalidates against the rule from scratch, and
@@ -13,6 +14,7 @@ which live here.
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,14 +22,12 @@ from hypothesis import given, strategies as st
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
 from ca_verify.criteria import audit_row
 from ca_verify.decide import (
-    BipermutiveCollision,
     Diamond,
     PeriodicPair,
     SurjectivityResult,
     UnbalancedWord,
     _pair_tables,
     _shortest_diamond,
-    bipermutive_collision,
     count_preimages,
     decide_injective,
     decide_surjective,
@@ -39,13 +39,13 @@ from ca_verify.rule import (
     classify,
     is_permutive_at,
     lr_separated_rule,
-    monomial_rule,
     parse_rule,
     rule_from_code,
     sum_rule,
 )
-from ca_verify.zmod import units
+from ca_verify.zmod import factorize, units
 import pair_graph_oracle
+from bipermutive_oracle import BipermutiveCollision, bipermutive_collision
 from pair_graph_oracle import pair_graph_injective
 from subset_oracle import subset_surjective
 
@@ -505,7 +505,7 @@ def test_bipermutive_collision_rejects_small_window():
 
 
 @given(
-    st.sampled_from((3, 4, 5)),
+    st.sampled_from((3, 4, 5, 7, 8)),
     st.integers(min_value=1, max_value=2),
     st.data(),
 )
@@ -544,6 +544,41 @@ def test_injective_rules_are_not_end_bipermutive(rule):
     cls = classify(rule)
     if cls.lr_separated and cls.ell is not None and cls.ell < cls.r:
         assert not (is_permutive_at(rule, cls.ell) and is_permutive_at(rule, cls.r))
+
+
+# --- linear rules ---------------------------------------------------------------
+
+
+def linear_verdicts(m, coeffs):
+    """Ito, Osato & Nasu (1983): f = sum a_j x_j (plus any constant) over
+    Z_m is surjective iff gcd(m, a_1, ..., a_(d+1)) = 1, and injective
+    iff for every prime p | m exactly one a_j is not divisible by p.
+    """
+    surjective = math.gcd(m, *coeffs) == 1
+    injective = all(
+        sum(a % p != 0 for a in coeffs) == 1 for p, _ in factorize(m)
+    )
+    return surjective, injective
+
+
+def assert_linear_rule_matches_closed_form(m, coeffs, constant=0):
+    components = {j: (a, 1) for j, a in enumerate(coeffs, 1)}
+    rule = sum_rule(m, len(coeffs) - 1, components, constant)
+    verdicts = decide_surjective(rule).surjective, decide_injective(rule).injective
+    assert verdicts == linear_verdicts(m, coeffs), (m, coeffs, constant)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 9, 10, 12])
+def test_linear_rules_match_closed_form_exhaustive(m):
+    for coeffs in itertools.product(range(m), repeat=2):
+        assert_linear_rule_matches_closed_form(m, coeffs)
+
+
+@given(st.sampled_from((4, 6)), st.data())
+def test_linear_rules_match_closed_form(m, data):
+    coeffs = data.draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3))
+    constant = data.draw(st.integers(0, m - 1))
+    assert_linear_rule_matches_closed_form(m, coeffs, constant)
 
 
 # --- caps -----------------------------------------------------------------------

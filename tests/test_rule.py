@@ -18,11 +18,9 @@ from ca_verify.rule import (
     RuleParseError,
     RuleTable,
     classify,
-    essential_positions,
     interior_table,
     is_permutive_at,
     lr_separated_rule,
-    monomial_rule,
     parse_rule,
     parse_table_text,
     permutivity_witness,
@@ -71,17 +69,17 @@ def test_table_make_validates():
 
 def test_evaluate_index_convention():
     # f(x1, x2) = x1 stored with x1 most significant
-    rule = monomial_rule(3, 1, 1, 1, 1)
+    rule = sum_rule(3, 1, {1: (1, 1)})
     assert rule.table == (0, 0, 0, 1, 1, 1, 2, 2, 2)
     assert rule.evaluate((2, 0)) == 2
     assert rule.evaluate((0, 2)) == 0
 
 
 def test_radius_anchor():
-    assert monomial_rule(3, 0, 1, 1, 1).radius == 0
-    assert monomial_rule(3, 1, 1, 1, 1).radius == 0
-    assert monomial_rule(3, 2, 1, 1, 1).radius == 1
-    assert monomial_rule(3, 3, 1, 1, 1).radius == 1
+    assert sum_rule(3, 0, {1: (1, 1)}).radius == 0
+    assert sum_rule(3, 1, {1: (1, 1)}).radius == 0
+    assert sum_rule(3, 2, {1: (1, 1)}).radius == 1
+    assert sum_rule(3, 3, {1: (1, 1)}).radius == 1
 
 
 def test_f_star_shrinks_by_diameter():
@@ -208,16 +206,16 @@ def test_permutive_positions_quadratic_example():
 
 def test_essential_positions_detects_dummies():
     rule = su("m=7; d=2; f=x1^4+3*x2")
-    assert essential_positions(rule) == (1, 2)
+    assert classify(rule).essential == (1, 2)
     rule0 = su("m=3; d=2; f=1")
-    assert essential_positions(rule0) == ()
+    assert classify(rule0).essential == ()
 
 
 @given(small_rules())
 def test_permutive_positions_are_essential(rule):
     for j in range(1, rule.nvars + 1):
         if is_permutive_at(rule, j):
-            assert j in essential_positions(rule)
+            assert j in classify(rule).essential
 
 
 # --- classification -------------------------------------------------------------
@@ -240,7 +238,7 @@ def assert_column_pass_matches_oracle(rule):
             for v in witness["colliding_values"]:
                 window = context[: j - 1] + [v] + context[j - 1 :]
                 assert rule.evaluate(window) == witness["output"], j
-    assert essential_positions(rule) == column_oracle.essential_positions(rule)
+    assert classify(rule).essential == column_oracle.essential_positions(rule)
     assert classify(rule) == column_oracle.classify(rule)
 
 
@@ -265,7 +263,7 @@ def test_classify_quadratic_example():
 
 
 def test_classify_shift_like():
-    cls = classify(monomial_rule(5, 2, 2, 3, 2))
+    cls = classify(sum_rule(5, 2, {2: (3, 2)}))
     assert cls.shift_like
     assert cls.essential == (2,)
     assert (cls.ell, cls.r) == (2, 2)
@@ -366,7 +364,7 @@ def test_monomial_rule_matches_window_evaluation(m, d):
         for a in range(m):
             for q in range(1, 7):
                 expected = window_table(m, d, lambda w: a * pow_mod(w[j - 1], q, m))
-                assert monomial_rule(m, d, j, a, q).table == expected, (j, a, q)
+                assert sum_rule(m, d, {j: (a, q)}).table == expected, (j, a, q)
 
 
 @pytest.mark.parametrize("m, d", BUILDER_SHAPES)
@@ -446,11 +444,9 @@ def test_parsed_expression_table_matches_evaluate(source):
 
 def test_builders_keep_their_error_messages():
     with pytest.raises(ValueError, match=r"^position 3 out of range \[1, 2\]$"):
-        monomial_rule(3, 1, 3, 1, 1)
+        sum_rule(3, 1, {3: (1, 1)})
     with pytest.raises(ValueError, match=r"^position 0 out of range \[1, 2\]$"):
         sum_rule(3, 1, {0: (1, 1)})
-    with pytest.raises(ValueError, match=r"^monomial exponent must be >= 1, got 0$"):
-        monomial_rule(3, 1, 1, 1, 0)
     with pytest.raises(ValueError, match=r"^exponent must be >= 0, got -1$"):
         sum_rule(3, 1, {1: (1, -1)})
     with pytest.raises(ValueError, match=r"^exponent must be >= 0, got -2$"):

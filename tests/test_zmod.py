@@ -14,13 +14,12 @@ from ca_verify.zmod import (
     factorize,
     is_prime,
     kempner,
-    monomial_invert,
-    monomial_is_bijective,
     monomial_table,
     pow_mod,
     totient,
     units,
 )
+from bipermutive_oracle import monomial_invert, monomial_is_bijective
 from column_oracle import canonical_exponent
 
 moduli = st.integers(min_value=2, max_value=60)
