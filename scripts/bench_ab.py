@@ -4,12 +4,14 @@ alternating runs.
 The benchmark box drifts by more than most gains within one session, so
 figures recorded at another time say little. This script exports the
 base commit with `git archive` into a temporary directory (no network,
-nothing written under .git), then runs
+nothing written under .git), and copies this checkout's tracked files,
+as the working tree holds them, into the same directory, so that an edit
+made during the run changes neither side. It then runs
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace T
 
 (S is the run_seconds of BENCHMARK.json) alternately in the base tree
-and in this checkout, both runs of a pair with the same seed. The side
+and in the candidate copy, both runs of a pair with the same seed. The side
 that runs first alternates from pair to pair (base, candidate,
 candidate, base, ...), so a drift of the machine during the session
 does not favour one side. For every metric of the
@@ -27,10 +29,10 @@ against that metric's bound in BENCHMARK.json:
     median is better than the base's by more than the base's IQR.
 
 Before the first pair, both trees are compiled once with
-`python -m compileall -q src perfbench`. The exported base tree has no
-bytecode, and where PYTHONDONTWRITEBYTECODE is set no run would write
-any, so every base run would otherwise recompile the package inside its
-setup_s; compileall writes bytecode even under that variable.
+`python -m compileall -q src perfbench`. Neither copy has bytecode, and
+where PYTHONDONTWRITEBYTECODE is set no run would write any, so every
+run would otherwise recompile the package inside its setup_s;
+compileall writes bytecode even under that variable.
 
 With --trace 1, compare the traced per-layer values of the two sides
 directly. A traced audit_exhaustive run covers one fixed sweep however
@@ -47,6 +49,7 @@ Example:
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -68,6 +71,17 @@ def export(rev: str, target: str) -> None:
     os.mkdir(tree)
     subprocess.run(["tar", "-xf", archive, "-C", tree], check=True)
     os.remove(archive)
+
+
+def snapshot(tree: str) -> None:
+    """Copy every tracked file of this checkout, as the working tree holds
+    it, to the same path under `tree`; a file deleted there is left out.
+    """
+    for path in git("ls-files", "-z").split("\0"):
+        source = os.path.join(ROOT, path)
+        if path and os.path.isfile(source):
+            os.makedirs(os.path.dirname(os.path.join(tree, path)), exist_ok=True)
+            shutil.copy2(source, os.path.join(tree, path))
 
 
 def compile_tree(tree: str) -> None:
@@ -196,13 +210,15 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as scratch:
         export(base_rev, scratch)
         base_tree = os.path.join(scratch, "tree")
-        for tree in (base_tree, ROOT):
+        candidate_tree = os.path.join(scratch, "candidate")
+        snapshot(candidate_tree)
+        for tree in (base_tree, candidate_tree):
             compile_tree(tree)
         for workload in workloads:
             pairs = []
             for i, seed in enumerate(range(args.first_seed, args.first_seed + args.pairs)):
                 pair = {"seed": seed}
-                sides = [("base", base_tree), ("candidate", ROOT)]
+                sides = [("base", base_tree), ("candidate", candidate_tree)]
                 for side, tree in sides[:: -1 if i % 2 else 1]:
                     pair[side] = bench(tree, workload, seed, seconds, args.trace)
                     print(f"{workload} seed {seed} {side} done", file=sys.stderr, flush=True)

@@ -12,22 +12,24 @@ theorem (Moore 1962, Myhill 1963) a rule is surjective iff it has no
 diamond. The graph is symmetric under swapping its two tracks, so one
 breadth-first search over the unordered off-diagonal pairs, at most
 n(n-1)/2 of them for n = m^d, decides surjectivity and spells the
-shortest diamond. A diamond also rules out injectivity; a rule without
-one is non-injective iff some off-diagonal pair vertex lies on a cycle.
-Such a cycle never meets the diagonal, so one cycle search over the
-unordered off-diagonal pairs settles it.
+shortest diamond. A surjective rule is non-injective iff some
+off-diagonal pair vertex lies on a cycle. Such a cycle never meets the
+diagonal, so one cycle search over the unordered off-diagonal pairs
+settles it.
 
-Most tables are settled before any search. By the balance theorem
-(Hedlund 1969) a surjective rule gives every letter exactly m^d of its
-m^(d+1) windows, so one count of the table's letters refutes
-surjectivity, and with it injectivity, for every unbalanced table. Such
-a verdict comes first: its unbalanced word is the first letter whose
-count is off. A balanced table is decided by the diamond search, and a
-negative verdict then gets its shortest unbalanced word at once.
-Witnesses are found on first read where the verdict does not need them:
-a negative surjectivity verdict handed to decide_injective answers "not
-injective" at once, and the diamond search runs again for the witness
-when `witness` is first read.
+Every rule is decided along one path. By the balance theorem (Hedlund
+1969) a surjective rule gives every letter exactly m^d of its m^(d+1)
+windows, so one count of the table's letters refutes surjectivity for
+every unbalanced table; the diamond search decides the rest. An
+injective rule is surjective (Hedlund 1969), so injectivity starts from
+that verdict: a negative one answers "not injective", a positive one
+runs the cycle search.
+
+A witness is held at once only when the deciding step has it in hand:
+the first letter whose count is off, or the cycle found. Every other
+one, the shortest unbalanced word of a balanced table and the shortest
+diamond of any non-surjective rule, is searched for on the first read
+of `witness`, which raises CapExceeded if that search exceeds its cap.
 
 Negative verdicts come with finite witnesses that re-validate against
 the rule:
@@ -101,7 +103,8 @@ class _Deferred(partial):
 class _Witness:
     """The witness field of a decider result. It holds a witness, or a
     _Deferred search that its first read replaces by the witness found;
-    a search that raises stays, so every read raises the same way.
+    a search that raises stays, so every read raises the same way. A
+    search is deferred only where the verdict proves a witness exists.
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -112,7 +115,10 @@ class _Witness:
             raise AttributeError(self.slot)
         value = result.__dict__[self.slot]
         if isinstance(value, _Deferred):
-            value = result.__dict__[self.slot] = value()
+            found = value()
+            if found is None:
+                raise AssertionError("unreachable: a deferred search finds its witness")
+            value = result.__dict__[self.slot] = found
         return value
 
     def __set__(self, result, value) -> None:
@@ -122,19 +128,19 @@ class _Witness:
 @dataclass(frozen=True)
 class SurjectivityResult:
     """The surjectivity verdict and, when negative, the shortest
-    unbalanced word; both are known when decide_surjective returns.
+    unbalanced word. For a balanced table the word is a deferred balance
+    search, run on the first read of `witness`; == and repr read it too.
     """
 
     surjective: bool
-    witness: UnbalancedWord | None
+    witness: UnbalancedWord | None = _Witness()
 
 
 @dataclass(frozen=True)
 class InjectivityResult:
-    """The injectivity verdict and its witness. The witness may still be
-    a deferred diamond search (decide_injective handed a negative
-    surjectivity verdict), which runs on the first read of `witness`;
-    == and repr read it too.
+    """The injectivity verdict and its witness. For a non-surjective rule
+    the witness is a deferred diamond search, run on the first read of
+    `witness`; == and repr read it too.
     """
 
     injective: bool
@@ -176,16 +182,12 @@ def count_preimages(rule: RuleTable, word: Sequence[int]) -> int:
 
 
 def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> SurjectivityResult:
-    """Exact surjectivity, verdict first. A table in which some letter has
-    other than m^d windows is not surjective (balance, Hedlund 1969), and
-    that letter is its shortest unbalanced word: no search runs. Otherwise
-    the Garden-of-Eden theorem (Moore 1962, Myhill 1963) decides: a rule
-    is surjective iff it has no diamond, that is iff no path of the pair
-    graph leaves the diagonal along an unequal letter pair and comes back
-    to it. _shortest_diamond searches for one over unordered pairs, and
-    refuses past caps.pair_vertices as an ordered search would. A diamond
-    makes the verdict negative, and the shortest unbalanced word is then
-    found by a separate search bounded by subset_states. A rule with more
+    """Exact surjectivity. A table in which some letter has other than m^d
+    windows is not surjective (balance, Hedlund 1969), and that letter is
+    its shortest unbalanced word. Otherwise the rule is surjective iff
+    _shortest_diamond finds no diamond (Moore 1962, Myhill 1963), and the
+    shortest unbalanced word of a rule with one is searched for, within
+    caps.subset_states, on the first read of `witness`. A rule with more
     than caps.pair_vertices de Bruijn vertices is refused before the
     count, as the diamond search refuses it.
     """
@@ -198,10 +200,7 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
             return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
     if _shortest_diamond(rule, caps, _pair_tables(rule)) is None:
         return SurjectivityResult(True, None)
-    witness = shortest_unbalanced_word(rule, caps)
-    if witness is None:
-        raise AssertionError("unreachable: non-surjective rules are unbalanced")
-    return SurjectivityResult(False, witness)
+    return SurjectivityResult(False, _Deferred(shortest_unbalanced_word, rule, caps))
 
 
 def shortest_unbalanced_word(
@@ -351,12 +350,9 @@ def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamo
     return None
 
 
-def _diamond_of_nonsurjective(rule: RuleTable, caps: Caps) -> Diamond:
-    """The shortest diamond of a rule known not to be surjective."""
-    diamond = _shortest_diamond(rule, caps, _pair_tables(rule))
-    if diamond is None:
-        raise AssertionError("unreachable: non-surjective rules have a diamond")
-    return diamond
+def _diamond_of_nonsurjective(rule: RuleTable, caps: Caps) -> Diamond | None:
+    """The deferred diamond search, on pair tables built when it runs."""
+    return _shortest_diamond(rule, caps, _pair_tables(rule))
 
 
 def _offdiagonal_cycle_pair(
@@ -447,37 +443,33 @@ def _offdiagonal_cycle_pair(
 def decide_injective(
     rule: RuleTable, caps: Caps = DEFAULT_CAPS, surjectivity: SurjectivityResult | None = None
 ) -> InjectivityResult:
-    """Exact injectivity via the pair graph.
+    """Exact injectivity, from the surjectivity verdict: `surjectivity`,
+    decide_surjective's result on the same rule and caps, or that call
+    made here when it is not given.
 
-    A diamond makes a rule non-injective: paste its two words into a
-    common background and the images agree everywhere. So the diamond
-    search (_shortest_diamond, the one decide_surjective runs) comes
-    first, and a diamond it finds is the witness; this covers every
-    non-surjective rule (Moore-Myhill). A `surjectivity` result of
-    decide_surjective on the same rule and caps hands its search over:
-    a negative one settles the verdict at once, and the witness diamond
-    is searched for on the first read of `witness`. That search alone can
-    then exceed caps.pair_vertices, and the read raises CapExceeded.
+    An injective rule is surjective (Hedlund 1969), so a negative verdict
+    answers "not injective". The witness is then the shortest diamond:
+    paste its two words into a common background and the images agree
+    everywhere. That search runs on the first read of `witness`, and a
+    read past caps.pair_vertices raises CapExceeded.
 
-    Without a diamond, two distinct configurations with equal images
-    differ at infinitely many cells, so their bi-infinite pair-graph path
-    keeps returning to some off-diagonal vertex: the rule is
-    non-injective iff an off-diagonal vertex lies on a cycle, whose two
-    tracks are a PeriodicPair. Such a cycle never touches the diagonal,
-    since leaving it and coming back spells a diamond, so diagonal
-    vertices are dropped. The graph is symmetric under the swap
-    (u, v) <-> (v, u), (a, b) <-> (b, a), and (u, v) lies on a cycle iff
-    {u, v} lies on a cycle of the quotient over the n(n-1)/2 pairs u < v:
-    a quotient cycle lifts to a path from (u, v) to (u, v) or to (v, u),
-    and the mirror image of that path closes the cycle. So a quotient
-    self-loop counts, even one whose only edge is (u, v) -> (v, u).
+    A surjective rule has no diamond, and two distinct configurations
+    with equal images then differ at infinitely many cells, so their
+    bi-infinite pair-graph path keeps returning to some off-diagonal
+    vertex: the rule is non-injective iff an off-diagonal vertex lies on
+    a cycle, whose two tracks are a PeriodicPair. Such a cycle never
+    touches the diagonal, since leaving it and coming back spells a
+    diamond, so diagonal vertices are dropped. The graph is symmetric
+    under the swap (u, v) <-> (v, u), (a, b) <-> (b, a), and (u, v) lies
+    on a cycle iff {u, v} lies on a cycle of the quotient over the
+    n(n-1)/2 pairs u < v: a quotient cycle lifts to a path from (u, v) to
+    (u, v) or to (v, u), and the mirror image of that path closes the
+    cycle. So a quotient self-loop counts, even one whose only edge is
+    (u, v) -> (v, u).
     """
-    if surjectivity is not None and not surjectivity.surjective:
-        return InjectivityResult(False, _Deferred(_diamond_of_nonsurjective, rule, caps))
-    tables = _pair_tables(rule)
     if surjectivity is None:
-        diamond = _shortest_diamond(rule, caps, tables)
-        if diamond is not None:
-            return InjectivityResult(False, diamond)
-    pair = _offdiagonal_cycle_pair(rule, caps, tables)
+        surjectivity = decide_surjective(rule, caps)
+    if not surjectivity.surjective:
+        return InjectivityResult(False, _Deferred(_diamond_of_nonsurjective, rule, caps))
+    pair = _offdiagonal_cycle_pair(rule, caps, _pair_tables(rule))
     return InjectivityResult(pair is None, pair)

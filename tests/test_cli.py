@@ -94,6 +94,16 @@ def test_analyze_rule_and_table_file_conflict(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", RULE_A, "--table-file", str(table))
     assert code == 1
     assert "not both" in err
+    # an empty expression is given, not absent
+    code, _, err = run(capsys, "analyze", "", "--table-file", str(table))
+    assert code == 1
+    assert err == "error: give either a rule expression or --table-file, not both\n"
+    code, _, err = run(capsys, "analyze", "")
+    assert code == 1
+    assert err == (
+        "error: rule parse error at position 0:"
+        " expected 'm', found 'end' (at offset 0)\n"
+    )
 
 
 def test_analyze_missing_rule_exits_1(capsys):
@@ -201,9 +211,9 @@ def test_audit_streams_schema_valid_rows(tmp_path, capsys):
 def test_audit_searches_only_balanced_tables(tmp_path, capsys, monkeypatch):
     """Of the 19683 m=3, d=1 tables, 18003 are unbalanced and decided by
     their letter counts; no audit row reads their witnesses. The diamond
-    search decides each balanced table (1680), and the balance search runs
-    once per balanced table that has a diamond (1260). No row reads a
-    diamond, so the diamond search runs for no other table.
+    search decides each balanced table (1680). No row reads the witness of
+    a balanced table with a diamond, so the balance search never runs, and
+    no row reads a diamond, so the diamond search runs for no other table.
     """
     calls = {"_shortest_diamond": 0, "shortest_unbalanced_word": 0}
 
@@ -223,12 +233,12 @@ def test_audit_searches_only_balanced_tables(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "audit", "--family", str(fam), "--jobs", "1")
     assert code == 0
     assert out.count("\n") == 3**9
-    assert calls == {"_shortest_diamond": 1680, "shortest_unbalanced_word": 1260}
+    assert calls == {"_shortest_diamond": 1680, "shortest_unbalanced_word": 0}
 
     # a report renders both witnesses, the deferred diamond among them
     code, out, _ = run(capsys, "analyze", "m=3; d=1; f=x1^2+x2^2")
     assert code == 0
-    assert calls == {"_shortest_diamond": 1681, "shortest_unbalanced_word": 1260}
+    assert calls == {"_shortest_diamond": 1681, "shortest_unbalanced_word": 0}
     # sha256 of the report as built when every witness was searched eagerly
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "def554475c6d92a18d9c20d76911343d529cfd4d5d838df23dcaf9cbdd46d47b"
@@ -476,10 +486,19 @@ def test_interpolate_table_file(tmp_path, capsys):
     assert doc["report"]["coefficients"] == [0, 0, 1]
 
 
-def test_interpolate_validation_errors(capsys):
+def test_interpolate_validation_errors(tmp_path, capsys):
     assert run(capsys, "interpolate", "--m", "3", "1,0")[0] == 1
     assert run(capsys, "interpolate", "--m", "3", "1,0,5")[0] == 1
     assert run(capsys, "interpolate", "--m", "3")[0] == 1
+    # an empty value list is given, not absent
+    assert run(capsys, "interpolate", "", "--m", "3") == (1, "", "error: bad values ''\n")
+    values = tmp_path / "values.txt"
+    values.write_text("0 1 0\n", encoding="ascii")
+    assert run(capsys, "interpolate", "", "--m", "3", "--table-file", str(values)) == (
+        1,
+        "",
+        "error: give either inline values or --table-file, not both\n",
+    )
 
 
 def test_interpolate_z14_within_default_cap(capsys, monkeypatch):

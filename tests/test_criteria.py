@@ -244,11 +244,11 @@ def test_cubic_monomial_mod4_flags_four_criteria():
 
 # --- prime-side soundness properties -----------------------------------------------
 
-# Surjective verdicts come from the polynomial diamond search, but a
-# negative verdict also needs the shortest unbalanced word, whose
-# count-vector search can be far too expensive on a drawn rule. That
-# search runs only after a diamond has proved the rule non-surjective,
-# so a draw that exceeds the tight budget is read as "not surjective".
+# Surjective verdicts come from the polynomial diamond search. A
+# negative verdict's shortest unbalanced word comes from a count-vector
+# search that can be far too expensive on a drawn rule; it runs only
+# when that witness is read, which these tests never do, and a refusal
+# there would still mean "not surjective".
 DRAW_CAPS = Caps(subset_states=1 << 14)
 
 

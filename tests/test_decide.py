@@ -1,7 +1,7 @@
 """Exact deciders for surjectivity and injectivity, their finite
 witnesses, the constructive collision for rules permutive at two
-separated end positions (bipermutive_oracle.py), and the closed-form
-verdicts of linear rules.
+separated end positions (bipermutive_oracle.py), the closed-form
+verdicts of linear rules, and three symmetries that keep both verdicts.
 
 Soundness is tested in both directions: every negative verdict must
 carry a witness that revalidates against the rule from scratch, and
@@ -15,6 +15,7 @@ which live here.
 import dataclasses
 import itertools
 import math
+from operator import getitem
 
 import pytest
 from hypothesis import given, strategies as st
@@ -163,8 +164,7 @@ def test_end_permutivity_gives_surjectivity(rule):
     """A bijective dependence at either outermost window position forces
     every word to be reachable. The verdict comes from the polynomial
     diamond search; the tight subset_states budget bounds only the
-    balance search, which runs behind a negative verdict, so exceeding
-    it fails the test like the negative verdict itself.
+    balance search, which runs when a negative verdict's witness is read.
     """
     assert is_permutive_at(rule, 1) or is_permutive_at(rule, rule.nvars)
     assert decide_surjective(rule, Caps(subset_states=1 << 14)).surjective
@@ -253,8 +253,13 @@ def ordered_decide_surjective(rule, caps):
 
 
 def decision(decide, rule, caps):
+    """The result of decide, with a deferred witness read, or the message
+    of the refusal met on the way.
+    """
     try:
-        return decide(rule, caps)
+        result = decide(rule, caps)
+        getattr(result, "witness", None)
+        return result
     except CapExceeded as exc:
         return str(exc)
 
@@ -581,6 +586,111 @@ def test_linear_rules_match_closed_form(m, data):
     assert_linear_rule_matches_closed_form(m, coeffs, constant)
 
 
+# --- symmetries -----------------------------------------------------------------
+
+
+@st.composite
+def wide_rules(draw, max_d=2):
+    """Tables at m in {4, 6, 7, 8, 9}, d <= max_d, past the sizes the
+    oracles reach. Half are sums of one value table per position, each
+    zero, a permutation or any map, so that every pair of verdicts
+    occurs; half shuffle a balanced letter multiset, whose negative
+    verdicts defer both witnesses.
+    """
+    m = draw(st.sampled_from((4, 6, 7, 8, 9)))
+    d = draw(st.integers(min_value=0, max_value=max_d))
+    if draw(st.booleans()):
+        letters = [letter for letter in range(m) for _ in range(m**d)]
+        return RuleTable.make(m, d, draw(st.permutations(letters)))
+    kinds = {
+        "zero": st.just((0,) * m),
+        "permutation": st.permutations(range(m)),
+        "map": st.lists(st.integers(0, m - 1), min_size=m, max_size=m),
+    }
+    parts = [draw(kinds[draw(st.sampled_from(sorted(kinds)))]) for _ in range(d + 1)]
+    windows = itertools.product(range(m), repeat=d + 1)
+    return RuleTable.make(m, d, [sum(map(getitem, parts, w)) % m for w in windows])
+
+
+def map_words(witness, word_map):
+    """`witness` with word_map applied to each of its words."""
+    if isinstance(witness, UnbalancedWord):
+        return dataclasses.replace(witness, word=word_map(witness.word))
+    if isinstance(witness, Diamond):
+        return Diamond(word_map(witness.u), word_map(witness.v))
+    x, y = (CyclicWord(c.m, word_map(c.cells)) for c in (witness.x, witness.y))
+    return PeriodicPair(x, y)
+
+
+def assert_symmetry_keeps_decisions(rule, mapped, witness_map):
+    """Hedlund (1969): `mapped` is conjugate to `rule` (or `rule` composed
+    with a shift), so both verdicts agree, and each witness of `rule`,
+    taken through witness_map, validates on `mapped`. Validity, not
+    bytes: a mapped least witness need not be least. The rule is decided
+    standalone and the mapped rule from its handed-over surjectivity.
+    """
+    surjectivity, injectivity = decide_surjective(rule), decide_injective(rule)
+    mapped_surjectivity = decide_surjective(mapped)
+    mapped_injectivity = decide_injective(mapped, surjectivity=mapped_surjectivity)
+    assert (mapped_surjectivity.surjective, mapped_injectivity.injective) == (
+        surjectivity.surjective,
+        injectivity.injective,
+    )
+    for result in (surjectivity, injectivity):
+        if result.witness is not None:
+            assert witness_map(result.witness).validate(mapped), result.witness
+
+
+@given(wide_rules(), st.data())
+def test_relabelled_rules_keep_decisions(rule, data):
+    """sigma o F o sigma^-1 for a permutation sigma of the letters."""
+    m, d = rule.m, rule.d
+    sigma = data.draw(st.permutations(range(m)))
+    table = [0] * len(rule.table)
+    for window, value in zip(itertools.product(range(m), repeat=d + 1), rule.table):
+        index = 0
+        for letter in window:
+            index = index * m + sigma[letter]
+        table[index] = sigma[value]
+    assert_symmetry_keeps_decisions(
+        rule,
+        RuleTable.make(m, d, table),
+        lambda witness: map_words(witness, lambda word: tuple(sigma[a] for a in word)),
+    )
+
+
+@given(wide_rules())
+def test_mirrored_rules_keep_decisions(rule):
+    """F read with its window reversed; witnesses are read backwards."""
+    m, d = rule.m, rule.d
+    windows = itertools.product(range(m), repeat=d + 1)
+    table = [rule.evaluate(window[::-1]) for window in windows]
+    assert_symmetry_keeps_decisions(
+        rule,
+        RuleTable.make(m, d, table),
+        lambda witness: map_words(witness, lambda word: tuple(reversed(word))),
+    )
+
+
+@given(wide_rules(max_d=1), st.booleans())
+def test_padded_rules_keep_decisions(rule, pad_left):
+    """F on a window one cell wider, whose first or last cell it ignores.
+    Every preimage count grows m-fold, a diamond's words gain a letter at
+    each end to share d + 1 letters there, and a periodic pair stays.
+    """
+    m = rule.m
+    table = list(rule.table) * m if pad_left else [v for v in rule.table for _ in range(m)]
+
+    def padded(witness):
+        if isinstance(witness, UnbalancedWord):
+            return UnbalancedWord(witness.word, witness.count * m, witness.expected * m)
+        if isinstance(witness, Diamond):
+            return map_words(witness, lambda word: (0, *word, 0))
+        return witness
+
+    assert_symmetry_keeps_decisions(rule, RuleTable.make(m, rule.d + 1, table), padded)
+
+
 # --- caps -----------------------------------------------------------------------
 
 
@@ -589,8 +699,10 @@ def test_deciders_respect_caps():
     # whose shortest unbalanced word is longer than one letter
     rule = su("m=3; d=2; f=x1^2+x2+x3^2")
     tight = dataclasses.replace(DEFAULT_CAPS, subset_states=2)
+    verdict = decide_surjective(rule, tight)
+    assert not verdict.surjective
     with pytest.raises(CapExceeded, match="balance search exceeded 2 states"):
-        decide_surjective(rule, tight)
+        verdict.witness
     rule = su("m=3; d=1; f=x1^2+x2^2")
     tighter = dataclasses.replace(DEFAULT_CAPS, pair_vertices=2)
     with pytest.raises(CapExceeded):
@@ -608,12 +720,15 @@ def test_caps_only_turn_refusals_into_verdicts():
     """An unbalanced table is decided by its letter counts. The diamond
     search, which used to run first and was refused part-way, now runs
     only when the injectivity witness is read, and is refused then, with
-    the same message, at every read.
+    the same message, at every read, whether decide_injective is handed
+    the surjectivity verdict or decides it itself.
     """
     rule = su("m=3; d=1; f=x1^2+x2^2")
     caps = dataclasses.replace(DEFAULT_CAPS, pair_vertices=3)
+    standalone = decide_injective(rule, caps)
+    assert not standalone.injective
     with pytest.raises(CapExceeded, match="pair search exceeded 3 vertices"):
-        decide_injective(rule, caps)
+        standalone.witness
     surjectivity = decide_surjective(rule, caps)
     assert surjectivity == SurjectivityResult(False, UnbalancedWord((0,), 1, 3))
     injectivity = decide_injective(rule, caps, surjectivity)
