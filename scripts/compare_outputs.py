@@ -6,11 +6,15 @@ into a temporary directory; no network, nothing written under .git) and
 then runs itself once per tree, each time in a fresh process with that
 tree's `src` first on sys.path. That run calls `ca_verify.cli.main` in
 process on a fixed battery and prints one line per call: the sha256 of
-(exit code, stdout, stderr), then the argv as JSON. The battery is this
-checkout's, for both trees:
+(exit code, stdout, stderr), the exit code, then the argv as JSON. The
+battery is this checkout's, for both trees:
 
   * `analyze` and `witness`, json and text, on every rule of
-    `perfbench.workloads.rule_pool()`;
+    `perfbench.workloads.rule_pool()`, and on the first pool rules again
+    under `CA_VERIFY_CAPS=pair_vertices=64`, right after the same call
+    under the default caps. That cap is passed by some of those rules and
+    exceeded by others (exit 2). The setting leads the argv printed for
+    these calls; every other call runs with CA_VERIFY_CAPS unset;
   * `interpolate`, json and text, on `table_pool()` and on 40 seeded
     random tables for each prime up to 13;
   * `examples` in both formats;
@@ -22,7 +26,8 @@ checkout's, for both trees:
 
 Family files are written to one directory shared by both runs, so their
 argv match. The script prints the number of calls per subcommand and
-every argv whose line differs, and exits 1 on any difference.
+every argv whose line differs, and exits 1 on any difference, or when
+the capped calls do not hold both an answer and a refusal.
 
 Example:
     python3 scripts/compare_outputs.py --base HEAD~1
@@ -50,17 +55,24 @@ FAMILIES = {
 RANDOM_TABLES = 40  # per prime
 RANDOM_SEED = 20250421
 TRACED_RULES = 16
+CAPPED_RULES = 16
+CAPS_ENV, CAPS_VALUE = "CA_VERIFY_CAPS", "pair_vertices=64"
+CAPPED = f"{CAPS_ENV}={CAPS_VALUE}"
 
 
 def battery(workdir: str):
-    """Every argv of the battery, in a fixed order."""
+    """Every argv of the battery, in a fixed order; the capped calls'
+    argv start with the CAPPED setting.
+    """
     from perfbench.workloads import rule_pool, scan_argv, table_pool, SCAN_SEEDS
 
     rules = rule_pool()
-    for source in rules:
+    for i, source in enumerate(rules):
         for command in ("analyze", "witness"):
             for fmt in ("json", "text"):
                 yield [command, source, "--format", fmt]
+            if i < CAPPED_RULES:  # after the same call under the default caps
+                yield [CAPPED, command, source]
     rng = random.Random(RANDOM_SEED)
     tables = table_pool() + [
         (p, tuple(rng.randrange(p) for _ in range(p)))
@@ -93,23 +105,29 @@ def emit(src: str, workdir: str) -> None:
     sys.path[:0] = [src, ROOT]
     from ca_verify import cli
 
-    for argv in battery(workdir):
+    for call in battery(workdir):
+        capped = call[0] == CAPPED
+        if capped:
+            os.environ[CAPS_ENV] = CAPS_VALUE
+        else:
+            os.environ.pop(CAPS_ENV, None)
+        argv = call[1:] if capped else call
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         record = json.dumps([code, out.getvalue(), err.getvalue()])
         digest = hashlib.sha256(record.encode()).hexdigest()
-        print(digest, json.dumps(argv), flush=True)
+        print(digest, code, json.dumps(call), flush=True)
 
 
-def run_tree(tree: str, workdir: str) -> list[tuple[str, str]]:
+def run_tree(tree: str, workdir: str) -> list[tuple[str, str, str]]:
     argv = [sys.executable, os.path.abspath(__file__),
             "--emit", os.path.join(tree, "src"), "--workdir", workdir]
     proc = subprocess.run(argv, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"the battery failed in {tree} (exit {proc.returncode}):\n"
                          f"{proc.stderr[-2000:]}")
-    return [tuple(line.split(" ", 1)) for line in proc.stdout.splitlines()]
+    return [tuple(line.split(" ", 2)) for line in proc.stdout.splitlines()]
 
 
 def main(argv=None) -> int:
@@ -129,15 +147,22 @@ def main(argv=None) -> int:
         os.mkdir(workdir)
         base = run_tree(os.path.join(scratch, "tree"), workdir)
         candidate = run_tree(ROOT, workdir)
-    if [a for _, a in base] != [a for _, a in candidate]:
+    if [a for *_, a in base] != [a for *_, a in candidate]:
         raise SystemExit("the two runs called different argv lists")
-    counts = collections.Counter(json.loads(a)[0] for _, a in candidate)
-    differing = [a for (b, a), (c, _) in zip(base, candidate) if b != c]
+    calls = [json.loads(a) for *_, a in candidate]
+    counts = collections.Counter(
+        " ".join(call[:2]) if call[0] == CAPPED else call[0] for call in calls
+    )
+    differing = [a for (b, _, a), (c, _, _) in zip(base, candidate) if b != c]
     print(f"base {base_rev}: {len(candidate)} calls "
           + ", ".join(f"{name} {n}" for name, n in sorted(counts.items())))
     for a in differing:
         print(f"differs: {a}")
     print(f"{len(differing)} differences")
+    capped_exits = {code for (_, code, _), call in zip(candidate, calls) if call[0] == CAPPED}
+    if not {"0", "2"} <= capped_exits:
+        print(f"the capped calls exit with {sorted(capped_exits)}: no answer or no refusal")
+        return 1
     return 1 if differing else 0
 
 

@@ -34,15 +34,13 @@ ENV_VAR = "CA_VERIFY_CAPS"
 _FIELD_NAMES = tuple(f.name for f in fields(Caps))
 
 
-def caps_from_env(base: Caps = DEFAULT_CAPS, text: str | None = None) -> Caps:
+def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
     """Apply CA_VERIFY_CAPS overrides (``name=value,...``) on top of `base`.
 
     Unknown names and malformed values raise ValueError so that a typo in
     the environment cannot quietly loosen or tighten a bound.
     """
-    if text is None:
-        text = os.environ.get(ENV_VAR, "")
-    text = text.strip()
+    text = os.environ.get(ENV_VAR, "").strip()
     if not text:
         return base
     overrides = {}

@@ -632,6 +632,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         ns = parser.parse_args(args)
     except _UsageError as exc:
         return _fail(str(exc))
+    if getattr(ns, "jobs", 1) < 1:  # audit and conjecture take --jobs
+        return _fail("--jobs must be at least 1")
     try:
         caps = caps_from_env(DEFAULT_CAPS)
     except ValueError as exc:

@@ -23,7 +23,9 @@ windows, so one count of the table's letters refutes surjectivity for
 every unbalanced table; the diamond search decides the rest. An
 injective rule is surjective (Hedlund 1969), so injectivity starts from
 that verdict: a negative one answers "not injective", a positive one
-runs the cycle search.
+runs the cycle search. The pair tables and the diamond search are
+memoised for the rule at hand, so each runs at most once per rule and
+caps; their callers share the result and read it, never mutate it.
 
 A witness is held at once only when the deciding step has it in hand:
 the first letter whose count is off, or the cycle found. Every other
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
@@ -185,11 +187,11 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
     """Exact surjectivity. A table in which some letter has other than m^d
     windows is not surjective (balance, Hedlund 1969), and that letter is
     its shortest unbalanced word. Otherwise the rule is surjective iff
-    _shortest_diamond finds no diamond (Moore 1962, Myhill 1963), and the
-    shortest unbalanced word of a rule with one is searched for, within
-    caps.subset_states, on the first read of `witness`. A rule with more
-    than caps.pair_vertices de Bruijn vertices is refused before the
-    count, as the diamond search refuses it.
+    _shortest_diamond, memoised and shared with decide_injective, finds
+    no diamond (Moore 1962, Myhill 1963); the shortest unbalanced word of
+    a rule with one is searched for, within caps.subset_states, on the
+    first read of `witness`. A rule with more than caps.pair_vertices de
+    Bruijn vertices is refused before the count, as the search refuses it.
     """
     m, table = rule.m, rule.table
     n = m**rule.d
@@ -198,7 +200,7 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
         count = table.count(letter)
         if count != n:
             return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
-    if _shortest_diamond(rule, caps, _pair_tables(rule)) is None:
+    if _shortest_diamond(rule, caps) is None:
         return SurjectivityResult(True, None)
     return SurjectivityResult(False, _Deferred(shortest_unbalanced_word, rule, caps))
 
@@ -235,6 +237,7 @@ def shortest_unbalanced_word(
 _PairTables = tuple[list[list[tuple[int, int]]], list[list[list[tuple[int, int]]]]]
 
 
+@lru_cache(maxsize=1)
 def _pair_tables(rule: RuleTable) -> _PairTables:
     """Flat successor tables of the pair graph. Vertex u*n + v is the
     ordered pair of de Bruijn vertices (length-d words, most significant
@@ -245,7 +248,8 @@ def _pair_tables(rule: RuleTable) -> _PairTables:
     b that give vb that image (b is kept, as the suffix drops it when
     d = 0). Reading rows[u] in order, then tails[v][label], gives the
     edges out of u*n + v in ascending (a, b), which keeps every search
-    over them deterministic.
+    over them deterministic. Memoised for the rule at hand and shared by
+    both searches, which read the tables and never mutate them.
     """
     m, table = rule.m, rule.table
     n = m**rule.d
@@ -294,7 +298,8 @@ def _check_start_vertices(n: int, caps: Caps) -> None:
         raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
 
 
-def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamond | None:
+@lru_cache(maxsize=1)
+def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
     """The shortest diamond, or None if the rule has none. Breadth-first
     search of the pair graph, expanded on demand from the diagonal: out
     of every diagonal vertex (in order) along an unequal letter pair,
@@ -316,12 +321,13 @@ def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamo
     recorded) is never above the ordered search's count, and a search
     that runs out without a diamond has reached n + 2 * (pairs recorded)
     ordered vertices, so it refuses past caps.pair_vertices exactly where
-    the ordered search did.
+    the ordered search did. Memoised on (rule, caps) for the rule at hand,
+    so the verdict and the deferred witness share one search.
     """
     m, d = rule.m, rule.d
     n = m**d
     _check_start_vertices(n, caps)
-    rows, tails = tables
+    rows, tails = _pair_tables(rule)
     parents: dict[int, int] = {}
     frontier = list(range(0, n * n, n + 1))
     for pid in frontier:  # the list grows as it is read: breadth-first
@@ -350,14 +356,7 @@ def _shortest_diamond(rule: RuleTable, caps: Caps, tables: _PairTables) -> Diamo
     return None
 
 
-def _diamond_of_nonsurjective(rule: RuleTable, caps: Caps) -> Diamond | None:
-    """The deferred diamond search, on pair tables built when it runs."""
-    return _shortest_diamond(rule, caps, _pair_tables(rule))
-
-
-def _offdiagonal_cycle_pair(
-    rule: RuleTable, caps: Caps, tables: _PairTables
-) -> PeriodicPair | None:
+def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
     """PeriodicPair of a rule without a diamond, None if it is injective.
     Tarjan's algorithm on the swap quotient (see decide_injective) finds
     `start`, the smallest key u*n + v, u < v, on a quotient cycle, which
@@ -372,7 +371,7 @@ def _offdiagonal_cycle_pair(
     total = n * n
     if total > caps.pair_vertices:
         raise CapExceeded(f"pair graph needs {total} vertices, cap is {caps.pair_vertices}")
-    rows, tails = tables
+    rows, tails = _pair_tables(rule)
 
     def quotient(key: int) -> list[int]:
         """Keys x*n + y, x < y, of the off-diagonal heads (x, y) or (y, x)."""
@@ -450,8 +449,8 @@ def decide_injective(
     An injective rule is surjective (Hedlund 1969), so a negative verdict
     answers "not injective". The witness is then the shortest diamond:
     paste its two words into a common background and the images agree
-    everywhere. That search runs on the first read of `witness`, and a
-    read past caps.pair_vertices raises CapExceeded.
+    everywhere. That memoised search runs once per rule and caps, on the
+    first read of `witness`, and past caps.pair_vertices raises CapExceeded.
 
     A surjective rule has no diamond, and two distinct configurations
     with equal images then differ at infinitely many cells, so their
@@ -470,6 +469,6 @@ def decide_injective(
     if surjectivity is None:
         surjectivity = decide_surjective(rule, caps)
     if not surjectivity.surjective:
-        return InjectivityResult(False, _Deferred(_diamond_of_nonsurjective, rule, caps))
-    pair = _offdiagonal_cycle_pair(rule, caps, _pair_tables(rule))
+        return InjectivityResult(False, _Deferred(_shortest_diamond, rule, caps))
+    pair = _offdiagonal_cycle_pair(rule, caps)
     return InjectivityResult(pair is None, pair)

@@ -345,6 +345,20 @@ def test_conjecture_composite_modulus_exits_1(capsys):
     assert "odd prime" in err
 
 
+def test_jobs_below_one_exits_1(tmp_path, capsys):
+    fam = tmp_path / "family.txt"
+    fam.write_text("kind=all_tables\nmoduli=2\nd=0\n", encoding="ascii")
+    commands = (
+        ("audit", "--family", str(fam)),
+        ("conjecture", "--p", "3", "--d", "1", "--q-max", "2"),
+    )
+    for command in commands:
+        for jobs in ("0", "-1"):
+            assert run(capsys, *command, "--jobs", jobs) == (
+                1, "", "error: --jobs must be at least 1\n"
+            )
+
+
 def test_conjecture_violation_exits_4(capsys, monkeypatch):
     import ca_verify.cli as cli_module
 

@@ -12,16 +12,19 @@ in test_acceptance, except those against the subset-construction oracle
 which live here.
 """
 
+import contextlib
 import dataclasses
+import inspect
 import itertools
 import math
+import sys
 from operator import getitem
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
-from ca_verify.criteria import audit_row
+from ca_verify.criteria import analyze, audit_row
 from ca_verify.decide import (
     Diamond,
     PeriodicPair,
@@ -214,7 +217,7 @@ def assert_quotient_verdict_matches_ordered_search(rule, label=""):
     search of the oracle finds, or none when it finds none, on any table,
     balanced or not: deferred witness reads search unbalanced ones too.
     """
-    found = _shortest_diamond(rule, DEFAULT_CAPS, _pair_tables(rule))
+    found = _shortest_diamond(rule, DEFAULT_CAPS)
     assert found == pair_graph_oracle._shortest_diamond(rule, DEFAULT_CAPS), label
 
 
@@ -741,3 +744,71 @@ def test_caps_only_turn_refusals_into_verdicts():
     assert decide_injective(rule, DEFAULT_CAPS, surjectivity).witness == Diamond(
         u=(0, 1, 0), v=(0, 2, 0)
     )
+
+
+# --- one pair search per rule ---------------------------------------------------
+
+
+@contextlib.contextmanager
+def pair_search_runs():
+    """Counts of the pair-table builds and diamond searches run inside
+    the block: entries into the bodies of _pair_tables and
+    _shortest_diamond, so an answer from a memo is not counted. The
+    memos first get another rule's search, so no earlier test's rule is
+    held in them.
+    """
+    decide_injective(rule_from_code(2, 1, 1)).witness
+    bodies = {inspect.unwrap(f).__code__: f.__name__ for f in (_pair_tables, _shortest_diamond)}
+    runs = dict.fromkeys(("_pair_tables", "_shortest_diamond"), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in bodies:
+            runs[bodies[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
+
+
+def test_one_pair_search_per_rule():
+    """Each call shape builds the pair tables once and searches for the
+    diamond once: code 395 is a balanced m=3, d=1 table with a diamond,
+    so its verdict and its injectivity witness both need the search;
+    x1 + x2 is surjective, so its verdict and its cycle search both need
+    the tables.
+    """
+    balanced, surjective = rule_from_code(3, 1, 395), su("m=3; d=1; f=x1+x2")
+    runs = {}
+    with pair_search_runs() as runs["witness of code 395"]:
+        witness = decide_injective(balanced).witness
+    with pair_search_runs() as runs["injectivity of x1 + x2"]:
+        injectivity = decide_injective(surjective)
+    with pair_search_runs() as runs["analyze of code 395"]:
+        report = analyze(balanced)
+    once = {"_pair_tables": 1, "_shortest_diamond": 1}
+    assert runs == dict.fromkeys(runs, once)
+    assert witness == pair_graph_oracle._shortest_diamond(balanced, DEFAULT_CAPS)
+    assert report["injective"]["witness"]["u"] == list(witness.u)
+    assert isinstance(injectivity.witness, PeriodicPair)
+    assert injectivity.witness.validate(surjective)
+
+
+def test_pair_search_memo_keys_on_rule_and_caps():
+    """A deferred witness read after another rule was decided is the
+    first rule's diamond, and a search refused under a tight cap is
+    refused again after the same rule was decided under the default caps.
+    """
+    first, second = rule_from_code(3, 1, 395), su("m=3; d=1; f=x1^2+x2^2")
+    deferred = decide_injective(first)
+    assert not deferred.injective
+    assert decide_injective(second).witness == Diamond(u=(0, 1, 0), v=(0, 2, 0))
+    assert deferred.witness == pair_graph_oracle._shortest_diamond(first, DEFAULT_CAPS)
+    tight = dataclasses.replace(DEFAULT_CAPS, pair_vertices=3)
+    assert not decide_surjective(first).surjective
+    with pytest.raises(CapExceeded, match="pair search exceeded 3 vertices"):
+        decide_surjective(first, tight)
+    with pytest.raises(CapExceeded, match="pair search exceeded 3 vertices"):
+        decide_injective(second, tight).witness
