@@ -19,9 +19,11 @@ battery is this checkout's, for both trees:
     random tables for each prime up to 13;
   * `examples` in both formats;
   * `trace` with `--width` and with `--initial` on the first pool rules;
-  * `audit` of all m=3, d=1 tables at `--jobs 1` and `--jobs 2`, and of a
-    `shift_like` family over 5, 7 and 11 with exponents up to 12 and a
-    sampled `lr_separated` family;
+  * `audit`, at `--jobs 1` and `--jobs 2` (forked children walk the
+    family themselves), of all m=3, d=1 tables, of all d=0 tables over 2
+    and 3, of a `shift_like` family over 5, 7 and 11 with exponents up to
+    12, of a sampled `lr_separated` family over 3, 5 and 7, and of an
+    `lr_separated` family over 3 with every interior table;
   * the three `scan_sampled` conjecture calls at `--jobs 1` and `--jobs 2`.
 
 Family files are written to one directory shared by both runs, so their
@@ -49,8 +51,10 @@ from bench_ab import ROOT, export, git
 
 FAMILIES = {
     "all_tables": "kind=all_tables\nmoduli=3\nd=1\n",
+    "all_tables_d0": "kind=all_tables\nmoduli=2,3\nd=0\n",
     "shift_like": "kind=shift_like\nmoduli=5,7,11\nd=2\nq_max=12\n",
     "lr_separated": "kind=lr_separated\nmoduli=3,5,7\nd=2\nq_max=3\npi=sample:2\nseed=7\n",
+    "lr_separated_all": "kind=lr_separated\nmoduli=3\nd=2\nq_max=2\n",
 }
 RANDOM_TABLES = 40  # per prime
 RANDOM_SEED = 20250421
@@ -93,7 +97,7 @@ def battery(workdir: str):
         path = os.path.join(workdir, f"{name}.family")
         with open(path, "w", encoding="ascii") as fh:
             fh.write(spec)
-        for jobs in ("1", "2") if name == "all_tables" else ("1",):
+        for jobs in ("1", "2"):
             yield ["audit", "--family", path, "--jobs", jobs]
     for seed in SCAN_SEEDS:
         for jobs in (1, 2):

@@ -22,6 +22,7 @@ import itertools
 import sys
 import time
 
+from ca_verify.caps import DEFAULT_CAPS
 from ca_verify.decide import count_preimages, decide_injective, decide_surjective
 from ca_verify.rule import rule_from_code
 
@@ -78,7 +79,8 @@ def main(argv=None) -> int:
     for code in range(total):
         rule = rule_from_code(args.m, args.d, code)
         balanced = all(count_preimages(rule, w) == expected for w in words)
-        surj_verdict = decide_surjective(rule)
+        # caps passed as decide_injective passes them, so its call is a memo hit
+        surj_verdict = decide_surjective(rule, DEFAULT_CAPS)
         surj = surj_verdict.surjective
         word = surj_verdict.witness
         if (
@@ -93,7 +95,7 @@ def main(argv=None) -> int:
             disagreements += 1
             print(f"SURJECTIVITY DISAGREEMENT at code {code}: "
                   f"decider={surj} balance={balanced}")
-        verdict = decide_injective(rule, surjectivity=surj_verdict)
+        verdict = decide_injective(rule, DEFAULT_CAPS)
         inj = verdict.injective
         if inj and periodic_collision(rule, args.max_period):
             disagreements += 1

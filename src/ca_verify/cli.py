@@ -154,8 +154,6 @@ def _check_expectations(report: dict, expect: str) -> list[str]:
     mismatches = []
     for token in expect.split(","):
         token = token.strip()
-        if not token:
-            continue
         if token not in _EXPECTATIONS:
             raise _UsageError(
                 f"unknown expectation {token!r}; choose from "
@@ -216,7 +214,7 @@ def cmd_analyze(ns, caps: Caps, argv: Sequence[str]) -> int:
     )
     status = EXIT_OK
     mismatches: list[str] = []
-    if ns.expect:
+    if ns.expect is not None:
         mismatches = _check_expectations(report, ns.expect)
         if mismatches:
             status = EXIT_EXPECT

@@ -57,7 +57,7 @@ from .rule import (
     is_permutive_at,
     lr_separated_rule,
     permutivity_witness,
-    rule_from_code,
+    rule_from_code,  # unused here; perfbench/tracer.py wraps criteria.rule_from_code
     separable_component_at,
     sum_rule,
 )
@@ -434,29 +434,28 @@ INJECTIVE = "injective"
 BIJECTIVE = "bijective"
 
 
-def predicted_facts(verdict: CriterionVerdict) -> list[tuple[str, bool]]:
+# criterion -> (facts its headline verdict claims when it holds, when it fails)
+_PREDICTIONS: dict[str, tuple[tuple[tuple[str, bool], ...], ...]] = {
+    TOTIENT_PERMUTIVITY: (((PERMUTIVE, True),), ((PERMUTIVE, False),)),
+    HERMITE_PERMUTIVITY: (((PERMUTIVE, True),), ((PERMUTIVE, False),)),
+    SURJECTIVITY_SUFFICIENT: (((SURJECTIVE, True),), ()),
+    PP_INTERIOR: (((SURJECTIVE, True),), ((SURJECTIVE, False),)),
+    PP_NECESSITY: ((), ((SURJECTIVE, False),)),
+    INJECTIVITY: (((INJECTIVE, True),), ((INJECTIVE, False),)),
+    BIJECTIVITY: (((BIJECTIVE, True),), ((BIJECTIVE, False),)),
+    EVEN_EXPONENTS: (((SURJECTIVE, False), (INJECTIVE, False)), ()),
+}
+
+
+def predicted_facts(verdict: CriterionVerdict) -> tuple[tuple[str, bool], ...]:
     """What the headline verdict claims about the rule; empty when the
     criterion is one-directional and landed on its silent side.
     """
     if not verdict.applicable:
-        return []
-    holds = verdict.value == HOLDS
-    c = verdict.criterion
-    if c in (TOTIENT_PERMUTIVITY, HERMITE_PERMUTIVITY):
-        return [(PERMUTIVE, holds)]
-    if c == SURJECTIVITY_SUFFICIENT:
-        return [(SURJECTIVE, True)] if holds else []
-    if c == PP_INTERIOR:
-        return [(SURJECTIVE, holds)]
-    if c == PP_NECESSITY:
-        return [] if holds else [(SURJECTIVE, False)]
-    if c == INJECTIVITY:
-        return [(INJECTIVE, holds)]
-    if c == BIJECTIVITY:
-        return [(BIJECTIVE, holds)]
-    if c == EVEN_EXPONENTS:
-        return [(SURJECTIVE, False), (INJECTIVE, False)] if holds else []
-    raise ValueError(f"unknown criterion {c!r}")
+        return ()
+    if verdict.criterion not in _PREDICTIONS:
+        raise ValueError(f"unknown criterion {verdict.criterion!r}")
+    return _PREDICTIONS[verdict.criterion][verdict.value != HOLDS]
 
 
 def witness_to_dict(witness) -> dict | None:
@@ -569,7 +568,7 @@ def _evaluate(
     cls = classify(rule)
     permutive = {j: is_permutive_at(rule, j) for j in range(1, rule.nvars + 1)}
     surjective = decide_surjective(rule, caps)
-    injective = decide_injective(rule, caps, surjective)
+    injective = decide_injective(rule, caps)
     verdicts = run_criteria(rule, cls, raw_exponents)
     shared = {
         "permutive": [
@@ -644,8 +643,10 @@ class FamilySpec:
             raise ValueError(f"unknown family kind {self.kind!r}")
         if not self.moduli:
             raise ValueError("family needs at least one modulus")
-        for m in self.moduli:
+        for i, m in enumerate(self.moduli):
             check_modulus(m)
+            if m in self.moduli[:i]:
+                raise ValueError(f"repeated modulus {m}")
         if self.d < 0:
             raise ValueError("diameter must be nonnegative")
         if self.q_min < 1:
@@ -656,6 +657,8 @@ class FamilySpec:
             raise ValueError(f"pi must be 'all' or 'sample:N', got {self.pi!r}")
         if self.kind == "lr_separated" and self.d < 1:
             raise ValueError("outer-separated families need diameter at least 1")
+        if self.pi != "all" and self.kind != "lr_separated":
+            raise ValueError(f"kind={self.kind} has no interior tables to sample")
 
     def _sample_size(self) -> int | None:
         if self.pi.startswith("sample:"):
@@ -776,16 +779,6 @@ def _family_rule_count(spec: FamilySpec, caps: Caps) -> int:
     return total
 
 
-def _sampled_interiors(m: int, cells: int, spec: FamilySpec) -> list | None:
-    """The N seeded interior tables of pi=sample:N over Z_m, drawn once per
-    modulus; None for pi=all."""
-    sample = spec._sample_size()
-    if sample is None:
-        return None
-    rng = random.Random(spec.seed)
-    return [tuple(rng.randrange(m) for _ in range(cells)) for _ in range(sample)]
-
-
 def enumerate_family(
     spec: FamilySpec, caps: Caps = DEFAULT_CAPS
 ) -> Iterator[FamilyRule]:
@@ -797,53 +790,49 @@ def enumerate_family(
     qs = range(spec.q_min, spec.q_max + 1)
     for m in spec.moduli:
         if spec.kind == "shift_like":
-            for j in range(1, spec.d + 2):
-                for a in units(m):
-                    for q in qs:
-                        yield FamilyRule(
-                            rule_id=f"m{m}-d{spec.d}-j{j}-a{a}-q{q}",
-                            build=partial(sum_rule, m, spec.d, {j: (a, q)}, caps=caps),
-                            raw=((j, a, q),),
-                            params=(("position", j), ("a", a), ("q", q)),
-                        )
+            for j, a, q in itertools.product(range(1, spec.d + 2), units(m), qs):
+                yield FamilyRule(
+                    rule_id=f"m{m}-d{spec.d}-j{j}-a{a}-q{q}",
+                    build=partial(sum_rule, m, spec.d, {j: (a, q)}, caps=caps),
+                    raw=((j, a, q),),
+                    params=(("position", j), ("a", a), ("q", q)),
+                )
         elif spec.kind == "lr_separated":
             r = spec.d + 1
             cells = m ** (spec.d - 1)
-            sample = _sampled_interiors(m, cells, spec)
-            for a_ell in units(m):
-                for q_ell in qs:
-                    for a_r in units(m):
-                        for q_r in qs:
-                            interiors = (
-                                itertools.product(range(m), repeat=cells)
-                                if sample is None
-                                else sample
-                            )
-                            for index, interior in enumerate(interiors):
-                                yield FamilyRule(
-                                    rule_id=(
-                                        f"m{m}-d{spec.d}-al{a_ell}-ql{q_ell}"
-                                        f"-ar{a_r}-qr{q_r}-pi{index}"
-                                    ),
-                                    build=partial(
-                                        lr_separated_rule,
-                                        m, spec.d, 1, r, a_ell, q_ell, a_r, q_r,
-                                        interior, caps,
-                                    ),
-                                    raw=((1, a_ell, q_ell), (r, a_r, q_r)),
-                                    params=(
-                                        ("a_ell", a_ell),
-                                        ("q_ell", q_ell),
-                                        ("a_r", a_r),
-                                        ("q_r", q_r),
-                                        ("pi_index", index),
-                                    ),
-                                )
+            sample = spec._sample_size()
+            if sample is not None:  # the N seeded interior tables, drawn once per modulus
+                rng = random.Random(spec.seed)
+                draws = [tuple(rng.randrange(m) for _ in range(cells)) for _ in range(sample)]
+            # one product per interior walk: product() holds its arguments whole
+            for a_ell, q_ell, a_r, q_r in itertools.product(units(m), qs, units(m), qs):
+                every = itertools.product(range(m), repeat=cells)
+                for index, interior in enumerate(every if sample is None else draws):
+                    yield FamilyRule(
+                        rule_id=(
+                            f"m{m}-d{spec.d}-al{a_ell}-ql{q_ell}"
+                            f"-ar{a_r}-qr{q_r}-pi{index}"
+                        ),
+                        build=partial(
+                            lr_separated_rule,
+                            m, spec.d, 1, r, a_ell, q_ell, a_r, q_r,
+                            interior, caps,
+                        ),
+                        raw=((1, a_ell, q_ell), (r, a_r, q_r)),
+                        params=(
+                            ("a_ell", a_ell),
+                            ("q_ell", q_ell),
+                            ("a_r", a_r),
+                            ("q_r", q_r),
+                            ("pi_index", index),
+                        ),
+                    )
         else:
-            for code in range(m ** (m ** (spec.d + 1))):
+            digits = itertools.product(range(m), repeat=m ** (spec.d + 1))
+            for code, entries in enumerate(digits):  # most significant digit first
                 yield FamilyRule(
                     rule_id=f"m{m}-d{spec.d}-t{code}",
-                    build=partial(rule_from_code, m, spec.d, code, caps),
+                    build=partial(RuleTable.make, m, spec.d, entries[::-1], caps),
                     raw=(),
                     params=(("code", code),),
                 )

@@ -23,9 +23,11 @@ windows, so one count of the table's letters refutes surjectivity for
 every unbalanced table; the diamond search decides the rest. An
 injective rule is surjective (Hedlund 1969), so injectivity starts from
 that verdict: a negative one answers "not injective", a positive one
-runs the cycle search. The pair tables and the diamond search are
-memoised for the rule at hand, so each runs at most once per rule and
-caps; their callers share the result and read it, never mutate it.
+runs the cycle search. Each decider has one call shape, (rule, caps):
+decide_injective asks decide_surjective itself. The surjectivity
+verdict, the pair tables and the diamond search are memoised for the
+rule at hand, so each runs at most once per rule and caps; their callers
+share the result and read it, never mutate it.
 
 A witness is held at once only when the deciding step has it in hand:
 the first letter whose count is off, or the cycle found. Every other
@@ -183,6 +185,7 @@ def count_preimages(rule: RuleTable, word: Sequence[int]) -> int:
     return sum(counts)
 
 
+@lru_cache(maxsize=1)
 def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> SurjectivityResult:
     """Exact surjectivity. A table in which some letter has other than m^d
     windows is not surjective (balance, Hedlund 1969), and that letter is
@@ -192,6 +195,9 @@ def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Surjectivit
     a rule with one is searched for, within caps.subset_states, on the
     first read of `witness`. A rule with more than caps.pair_vertices de
     Bruijn vertices is refused before the count, as the search refuses it.
+
+    Memoised on (rule, caps) as passed, for the rule at hand, so the same
+    call from decide_injective is a memo hit; a refusal is raised again.
     """
     m, table = rule.m, rule.table
     n = m**rule.d
@@ -439,12 +445,9 @@ def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
     raise AssertionError("unreachable: start lies on a cycle")
 
 
-def decide_injective(
-    rule: RuleTable, caps: Caps = DEFAULT_CAPS, surjectivity: SurjectivityResult | None = None
-) -> InjectivityResult:
-    """Exact injectivity, from the surjectivity verdict: `surjectivity`,
-    decide_surjective's result on the same rule and caps, or that call
-    made here when it is not given.
+def decide_injective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> InjectivityResult:
+    """Exact injectivity, from decide_surjective(rule, caps): a memo hit
+    when the caller has just decided the rule's surjectivity.
 
     An injective rule is surjective (Hedlund 1969), so a negative verdict
     answers "not injective". The witness is then the shortest diamond:
@@ -466,9 +469,7 @@ def decide_injective(
     cycle. So a quotient self-loop counts, even one whose only edge is
     (u, v) -> (v, u).
     """
-    if surjectivity is None:
-        surjectivity = decide_surjective(rule, caps)
-    if not surjectivity.surjective:
+    if not decide_surjective(rule, caps).surjective:
         return InjectivityResult(False, _Deferred(_shortest_diamond, rule, caps))
     pair = _offdiagonal_cycle_pair(rule, caps)
     return InjectivityResult(pair is None, pair)

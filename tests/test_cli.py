@@ -77,6 +77,14 @@ def test_analyze_unknown_expectation_exits_1(capsys):
     code, _, err = run(capsys, "analyze", RULE_A, "--expect", "reversible")
     assert code == 1
     assert "unknown expectation" in err
+    # an expectation list that names nothing is refused, not passed
+    for expect in ("", ",", " ", "surjective,"):
+        code, out, err = run(capsys, "analyze", "m=3; d=1; f=x1+x2", "--expect", expect)
+        assert (code, out) == (1, ""), repr(expect)
+        assert err == (
+            "error: unknown expectation ''; choose from "
+            "injective, non-injective, non-surjective, surjective\n"
+        )
 
 
 def test_analyze_table_file(tmp_path, capsys):
@@ -252,10 +260,16 @@ def test_audit_missing_family_file_exits_1(capsys):
 
 def test_audit_bad_family_exits_1(tmp_path, capsys):
     fam = tmp_path / "family.txt"
-    fam.write_text("kind=bogus\nmoduli=3\nq_max=2\n", encoding="ascii")
-    code, _, err = run(capsys, "audit", "--family", str(fam))
-    assert code == 1
-    assert "unknown family kind" in err
+    cases = {
+        "kind=bogus\nmoduli=3\nq_max=2\n": "unknown family kind",
+        "kind=shift_like\nmoduli=3,3\nq_max=2\n": "repeated modulus 3",
+        "kind=all_tables\nmoduli=2\npi=sample:3\n": "kind=all_tables has no interior tables",
+    }
+    for text, needle in cases.items():
+        fam.write_text(text, encoding="ascii")
+        code, out, err = run(capsys, "audit", "--family", str(fam))
+        assert (code, out) == (1, "")
+        assert needle in err
 
 
 def test_audit_oversized_family_exits_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,6 +46,7 @@ from ca_verify.criteria import (
 from ca_verify.decide import decide_surjective
 from ca_verify.criteria import _family_map, _family_size, _hermite_verdict
 from ca_verify.rule import (
+    RuleTable,
     classify,
     is_permutive_at,
     parse_rule,
@@ -379,6 +381,10 @@ def test_parse_family_errors():
         "kind=shift_like\nmoduli=4\n": "needs q_max",
         "kind=shift_like\nmoduli=4\nq_max=2\nq_max=3\n": "repeated key",
         "kind=lr_separated\nmoduli=3\nq_max=2\n": "diameter at least 1",
+        "kind=shift_like\nmoduli=3,5,3\nq_max=2\n": "repeated modulus 3",
+        "kind=all_tables\nmoduli=2,2\n": "repeated modulus 2",
+        "kind=all_tables\nmoduli=2\npi=sample:3\n": "kind=all_tables has no interior",
+        "kind=shift_like\nmoduli=5\nq_max=2\npi=sample:1\n": "kind=shift_like has no",
     }
     for text, needle in cases.items():
         with pytest.raises(ValueError, match=needle):
@@ -443,15 +449,41 @@ def test_enumeration_keeps_ids_and_tables(monkeypatch):
 
 
 def test_enumeration_builds_only_the_tables_read(monkeypatch):
-    built = []
-    monkeypatch.setattr(
-        criteria, "rule_from_code", lambda *args: built.append(args) or rule_from_code(*args)
-    )
+    built, make = [], RuleTable.make
+    monkeypatch.setattr(RuleTable, "make", lambda *args: built.append(args) or make(*args))
     rules = list(enumerate_family(parse_family("kind=all_tables\nmoduli=2\nd=2\n")))
     assert len(rules) == 256 and built == []
-    assert rules[40].rule.table == rule_from_code(2, 2, 40).table
+    table = rules[40].rule.table
     assert rules[40].rule is rules[40].rule
-    assert built == [(2, 2, 40, DEFAULT_CAPS)]
+    assert built == [(2, 2, table, DEFAULT_CAPS)]
+    assert table == rule_from_code(2, 2, 40).table
+
+
+def test_enumeration_walks_interior_tables_lazily():
+    """The first rule of a pi=all family comes before its interior tables
+    are listed: the 65536 of m=2, d=5 would take about 16 MiB.
+    """
+    spec = parse_family("kind=lr_separated\nmoduli=2\nd=5\nq_max=1\n")
+    tracemalloc.start()
+    try:
+        next(enumerate_family(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_all_tables_walk_matches_the_code_decoder():
+    """Table i of an all_tables family is rule_from_code's table of code
+    i: the walk lists digits most significant first, the table stores
+    them least significant first.
+    """
+    for m, d in ((2, 2), (3, 1)):
+        rules = list(enumerate_family(FamilySpec("all_tables", (m,), d)))
+        assert len(rules) == m ** (m ** (d + 1))
+        for code, fr in enumerate(rules):
+            assert (fr.rule_id, fr.params) == (f"m{m}-d{d}-t{code}", (("code", code),))
+            assert fr.rule == rule_from_code(m, d, code), fr.rule_id
 
 
 # --- audit -------------------------------------------------------------------------

@@ -305,12 +305,12 @@ def test_quotient_verdict_keeps_verdicts_and_refusals_at_every_cap():
 
 
 def read_deferred_witness(rule, caps):
-    """The diamond of a non-surjective rule, read from the injectivity
-    result that a negative surjectivity verdict hands its search to.
+    """The diamond of a non-surjective rule, read from its injectivity
+    result, decided right after its surjectivity verdict.
     """
     surjectivity = decide_surjective(rule, caps)
     assert not surjectivity.surjective
-    return decide_injective(rule, caps, surjectivity).witness
+    return decide_injective(rule, caps).witness
 
 
 def test_injectivity_paths_keep_witnesses_and_refusals_at_every_cap():
@@ -437,13 +437,12 @@ def test_injectivity_verdicts_are_sound(rule):
 def assert_injectivity_matches_pair_graph_oracle(rule, label=""):
     expected = repr(pair_graph_injective(rule))
     assert repr(decide_injective(rule)) == expected, label
-    shared = decide_injective(rule, surjectivity=decide_surjective(rule))
-    assert repr(shared) == expected, label
+    assert repr(decide_injective(rule)) == expected, label  # from the memoised verdict
 
 
 def test_injectivity_matches_pair_graph_oracle_exhaustive():
-    """Verdict and witness, with and without a handed-over diamond search,
-    on every rule with m=3, d=1 and with m=2, d=2.
+    """Verdict and witness, decided standalone and again from the memoised
+    verdict and diamond search, on every rule with m=3, d=1 and with m=2, d=2.
     """
     for m, d in ((3, 1), (2, 2)):
         for code in range(m ** (m ** (d + 1))):
@@ -630,11 +629,11 @@ def assert_symmetry_keeps_decisions(rule, mapped, witness_map):
     with a shift), so both verdicts agree, and each witness of `rule`,
     taken through witness_map, validates on `mapped`. Validity, not
     bytes: a mapped least witness need not be least. The rule is decided
-    standalone and the mapped rule from its handed-over surjectivity.
+    injectivity first, and the mapped rule surjectivity first.
     """
-    surjectivity, injectivity = decide_surjective(rule), decide_injective(rule)
-    mapped_surjectivity = decide_surjective(mapped)
-    mapped_injectivity = decide_injective(mapped, surjectivity=mapped_surjectivity)
+    injectivity, surjectivity = decide_injective(rule), decide_surjective(rule, DEFAULT_CAPS)
+    mapped_surjectivity = decide_surjective(mapped, DEFAULT_CAPS)
+    mapped_injectivity = decide_injective(mapped)
     assert (mapped_surjectivity.surjective, mapped_injectivity.injective) == (
         surjectivity.surjective,
         injectivity.injective,
@@ -723,8 +722,8 @@ def test_caps_only_turn_refusals_into_verdicts():
     """An unbalanced table is decided by its letter counts. The diamond
     search, which used to run first and was refused part-way, now runs
     only when the injectivity witness is read, and is refused then, with
-    the same message, at every read, whether decide_injective is handed
-    the surjectivity verdict or decides it itself.
+    the same message, at every read, whether decide_injective decides the
+    surjectivity verdict itself or finds it memoised.
     """
     rule = su("m=3; d=1; f=x1^2+x2^2")
     caps = dataclasses.replace(DEFAULT_CAPS, pair_vertices=3)
@@ -734,14 +733,14 @@ def test_caps_only_turn_refusals_into_verdicts():
         standalone.witness
     surjectivity = decide_surjective(rule, caps)
     assert surjectivity == SurjectivityResult(False, UnbalancedWord((0,), 1, 3))
-    injectivity = decide_injective(rule, caps, surjectivity)
+    injectivity = decide_injective(rule, caps)
     assert not injectivity.injective
     for _ in range(2):
         with pytest.raises(CapExceeded, match="pair search exceeded 3 vertices"):
             injectivity.witness
     row = audit_row(rule, rule_id="x", caps=caps)
     assert (row["surjective"], row["injective"], row["discrepancies"]) == (False, False, [])
-    assert decide_injective(rule, DEFAULT_CAPS, surjectivity).witness == Diamond(
+    assert decide_injective(rule, DEFAULT_CAPS).witness == Diamond(
         u=(0, 1, 0), v=(0, 2, 0)
     )
 
@@ -751,15 +750,16 @@ def test_caps_only_turn_refusals_into_verdicts():
 
 @contextlib.contextmanager
 def pair_search_runs():
-    """Counts of the pair-table builds and diamond searches run inside
-    the block: entries into the bodies of _pair_tables and
-    _shortest_diamond, so an answer from a memo is not counted. The
-    memos first get another rule's search, so no earlier test's rule is
-    held in them.
+    """Counts of the pair-table builds, diamond searches and surjectivity
+    decisions run inside the block: entries into the bodies of
+    _pair_tables, _shortest_diamond and decide_surjective, so an answer
+    from a memo is not counted. The memos first get another rule's
+    search, so no earlier test's rule is held in them.
     """
     decide_injective(rule_from_code(2, 1, 1)).witness
-    bodies = {inspect.unwrap(f).__code__: f.__name__ for f in (_pair_tables, _shortest_diamond)}
-    runs = dict.fromkeys(("_pair_tables", "_shortest_diamond"), 0)
+    memoised = (_pair_tables, _shortest_diamond, decide_surjective)
+    bodies = {inspect.unwrap(f).__code__: f.__name__ for f in memoised}
+    runs = dict.fromkeys(bodies.values(), 0)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in bodies:
@@ -774,11 +774,12 @@ def pair_search_runs():
 
 
 def test_one_pair_search_per_rule():
-    """Each call shape builds the pair tables once and searches for the
-    diamond once: code 395 is a balanced m=3, d=1 table with a diamond,
-    so its verdict and its injectivity witness both need the search;
-    x1 + x2 is surjective, so its verdict and its cycle search both need
-    the tables.
+    """Each call shape decides surjectivity once, builds the pair tables
+    once and searches for the diamond once: code 395 is a balanced m=3,
+    d=1 table with a diamond, so its verdict and its injectivity witness
+    both need the search; x1 + x2 is surjective, so its verdict and its
+    cycle search both need the tables. Injectivity decided first leaves
+    its surjectivity verdict memoised for the call that asks for it.
     """
     balanced, surjective = rule_from_code(3, 1, 395), su("m=3; d=1; f=x1+x2")
     runs = {}
@@ -788,7 +789,10 @@ def test_one_pair_search_per_rule():
         injectivity = decide_injective(surjective)
     with pair_search_runs() as runs["analyze of code 395"]:
         report = analyze(balanced)
-    once = {"_pair_tables": 1, "_shortest_diamond": 1}
+    with pair_search_runs() as runs["injectivity, then surjectivity, of code 395"]:
+        decide_injective(balanced)
+        decide_surjective(balanced, DEFAULT_CAPS)
+    once = {"_pair_tables": 1, "_shortest_diamond": 1, "decide_surjective": 1}
     assert runs == dict.fromkeys(runs, once)
     assert witness == pair_graph_oracle._shortest_diamond(balanced, DEFAULT_CAPS)
     assert report["injective"]["witness"]["u"] == list(witness.u)
