@@ -24,12 +24,17 @@ battery is this checkout's, for both trees:
     and 3, of a `shift_like` family over 5, 7 and 11 with exponents up to
     12, of a sampled `lr_separated` family over 3, 5 and 7, and of an
     `lr_separated` family over 3 with every interior table;
-  * the three `scan_sampled` conjecture calls at `--jobs 1` and `--jobs 2`.
+  * the three `scan_sampled` conjecture calls at `--jobs 1` and `--jobs 2`;
+  * refusals: `analyze` of malformed table files and expressions and of a
+    table past the cap, `interpolate` with a bad `--m` or a table of the
+    wrong length, `conjecture` with a bad modulus, diameter or sample
+    size, and `audit` of malformed families and of one past the cap.
 
-Family files are written to one directory shared by both runs, so their
-argv match. The script prints the number of calls per subcommand and
-every argv whose line differs, and exits 1 on any difference, or when
-the capped calls do not hold both an answer and a refusal.
+Table and family files are written to one directory shared by both
+runs, so their argv match. The script prints the number of calls per
+subcommand and every argv whose line differs, and exits 1 on any
+difference, or when the capped calls do not hold both an answer and a
+refusal.
 
 Example:
     python3 scripts/compare_outputs.py --base HEAD~1
@@ -62,6 +67,32 @@ TRACED_RULES = 16
 CAPPED_RULES = 16
 CAPS_ENV, CAPS_VALUE = "CA_VERIFY_CAPS", "pair_vertices=64"
 CAPPED = f"{CAPS_ENV}={CAPS_VALUE}"
+BAD_TABLES = {
+    "empty": "",
+    "no_diameter": "3",
+    "bad_diameter": "3 x",
+    "bad_modulus": "1 1",
+    "negative_diameter": "3 -1",
+    "short": "3 1\n0 1 2\n",
+    "entry_out_of_range": "3 1\n0 1 2 0 1 2 0 5 2\n",
+    "over_table_cap": "13 6\n",
+}
+BAD_RULES = ("m=1; d=1; f=x1", "m=3; d=1; f=x3", "m=3; d=1; f=x1 x2", "m=3; d=1; f=x1+")
+BAD_INTERPOLATIONS = (("1,2", "0"), ("1,2", "-3"), ("1,2", "1"), ("1,2,3", "4"))
+BAD_SCANS = (("4", "1", "all"), ("5", "0", "all"), ("5", "1", "sample:0"))
+BAD_FAMILIES = {
+    "no_kind": "moduli=3\nd=1\n",
+    "unknown_kind": "kind=bogus\nmoduli=3\nd=1\n",
+    "repeated_modulus": "kind=all_tables\nmoduli=3,3\nd=0\n",
+    "over_family_cap": "kind=all_tables\nmoduli=3\nd=2\n",
+}
+
+
+def write(workdir: str, name: str, text: str) -> str:
+    path = os.path.join(workdir, name)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+    return path
 
 
 def battery(workdir: str):
@@ -94,14 +125,22 @@ def battery(workdir: str):
         yield ["trace", source, "--steps", "6", "--width", str(4 + i), "--seed", str(i)]
         yield ["trace", source, "--steps", "6", "--initial", row]
     for name, spec in FAMILIES.items():
-        path = os.path.join(workdir, f"{name}.family")
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(spec)
+        path = write(workdir, f"{name}.family", spec)
         for jobs in ("1", "2"):
             yield ["audit", "--family", path, "--jobs", jobs]
     for seed in SCAN_SEEDS:
         for jobs in (1, 2):
             yield scan_argv(seed, jobs)
+    for name, text in BAD_TABLES.items():
+        yield ["analyze", "--table-file", write(workdir, f"{name}.table", text)]
+    for source in BAD_RULES:
+        yield ["analyze", source]
+    for values, m in BAD_INTERPOLATIONS:
+        yield ["interpolate", values, "--m", m]
+    for p, d, pi in BAD_SCANS:
+        yield ["conjecture", "--p", p, "--d", d, "--pi", pi]
+    for name, spec in BAD_FAMILIES.items():
+        yield ["audit", "--family", write(workdir, f"{name}.family", spec)]
 
 
 def emit(src: str, workdir: str) -> None:

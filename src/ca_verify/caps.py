@@ -1,9 +1,9 @@
 """Resource caps shared by table builders, deciders, and searches.
 
 Every bound here fails loudly with CapExceeded instead of truncating a
-search silently.  The defaults are sized for desk-scale experiments; the
-environment variable CA_VERIFY_CAPS can override individual fields with a
-comma-separated list of name=value pairs, e.g.
+search silently.  The defaults, DEFAULT_CAPS, suit desk-scale runs;
+caps_from_env overrides fields of them from the environment variable
+CA_VERIFY_CAPS, a comma-separated list of name=value pairs, e.g.
 
     CA_VERIFY_CAPS="subset_states=2097152,poly_search=65536"
 """
@@ -34,15 +34,15 @@ ENV_VAR = "CA_VERIFY_CAPS"
 _FIELD_NAMES = tuple(f.name for f in fields(Caps))
 
 
-def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
-    """Apply CA_VERIFY_CAPS overrides (``name=value,...``) on top of `base`.
+def caps_from_env() -> Caps:
+    """DEFAULT_CAPS with the CA_VERIFY_CAPS overrides (``name=value,...``).
 
     Unknown names and malformed values raise ValueError so that a typo in
     the environment cannot quietly loosen or tighten a bound.
     """
     text = os.environ.get(ENV_VAR, "").strip()
     if not text:
-        return base
+        return DEFAULT_CAPS
     overrides = {}
     for item in text.split(","):
         item = item.strip()
@@ -61,4 +61,4 @@ def caps_from_env(base: Caps = DEFAULT_CAPS) -> Caps:
         if parsed < 1:
             raise ValueError(f"{ENV_VAR}: cap {name!r} must be positive")
         overrides[name] = parsed
-    return replace(base, **overrides)
+    return replace(DEFAULT_CAPS, **overrides)

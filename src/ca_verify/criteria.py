@@ -745,13 +745,14 @@ class FamilyRule:
         return self.build()
 
 
-def _family_size(spec: FamilySpec, cap: int) -> int:
+def _family_rule_count(spec: FamilySpec, caps: Caps) -> int:
     """Number of rules `spec` enumerates, computed arithmetically so the
-    cap check never walks a huge family. It is exact up to `cap`; above
-    it only its passing the cap is: m**s > cap whenever
-    s >= cap.bit_length(), since m >= 2, so no such power is built and
-    cap + 1 stands in for it.
+    cap check never walks a huge family; CapExceeded above the cap. It is
+    exact up to the cap; above it only its passing the cap is: m**s > cap
+    whenever s >= cap.bit_length(), since m >= 2, so no such power is
+    built and cap + 1 stands in for it.
     """
+    cap = caps.family_rules
 
     def power(m: int, s: int) -> int:
         return cap + 1 if s >= cap.bit_length() else m**s
@@ -768,14 +769,8 @@ def _family_size(spec: FamilySpec, cap: int) -> int:
             total += nu * nu * nq * nq * n_pi
         else:
             total += power(m, m ** (spec.d + 1))
-    return total
-
-
-def _family_rule_count(spec: FamilySpec, caps: Caps) -> int:
-    """Number of rules `spec` enumerates; CapExceeded above the cap."""
-    total = _family_size(spec, caps.family_rules)
-    if total > caps.family_rules:
-        raise CapExceeded(f"family enumerates more than {caps.family_rules} rules")
+    if total > cap:
+        raise CapExceeded(f"family enumerates more than {cap} rules")
     return total
 
 

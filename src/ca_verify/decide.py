@@ -27,13 +27,15 @@ runs the cycle search. Each decider has one call shape, (rule, caps):
 decide_injective asks decide_surjective itself. The surjectivity
 verdict, the pair tables and the diamond search are memoised for the
 rule at hand, so each runs at most once per rule and caps; their callers
-share the result and read it, never mutate it.
+share the result and read it, never mutate it. Only decide_surjective
+refuses a rule with more de Bruijn vertices than caps.pair_vertices;
+every diamond search comes after it.
 
 A witness is held at once only when the deciding step has it in hand:
 the first letter whose count is off, or the cycle found. Every other
 one, the shortest unbalanced word of a balanced table and the shortest
-diamond of any non-surjective rule, is searched for on the first read
-of `witness`, which raises CapExceeded if that search exceeds its cap.
+diamond of any non-surjective rule, is a functools.partial of its
+search, run on the first read of `witness` (CapExceeded past its cap).
 
 Negative verdicts come with finite witnesses that re-validate against
 the rule:
@@ -100,15 +102,12 @@ class PeriodicPair:
         ).config_equal(rule.apply_periodic(self.y))
 
 
-class _Deferred(partial):
-    """A witness search, run on the first read of the field holding it."""
-
-
 class _Witness:
     """The witness field of a decider result. It holds a witness, or a
-    _Deferred search that its first read replaces by the witness found;
-    a search that raises stays, so every read raises the same way. A
-    search is deferred only where the verdict proves a witness exists.
+    deferred search, held as a functools.partial (no witness is one),
+    that its first read replaces by the witness found; a search that
+    raises stays, so every read raises the same way. A search is
+    deferred only where the verdict proves a witness exists.
     """
 
     def __set_name__(self, owner: type, name: str) -> None:
@@ -118,7 +117,7 @@ class _Witness:
         if result is None:  # class access: tells dataclass there is no default
             raise AttributeError(self.slot)
         value = result.__dict__[self.slot]
-        if isinstance(value, _Deferred):
+        if isinstance(value, partial):
             found = value()
             if found is None:
                 raise AssertionError("unreachable: a deferred search finds its witness")
@@ -185,30 +184,36 @@ def count_preimages(rule: RuleTable, word: Sequence[int]) -> int:
     return sum(counts)
 
 
-@lru_cache(maxsize=1)
 def decide_surjective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> SurjectivityResult:
-    """Exact surjectivity. A table in which some letter has other than m^d
-    windows is not surjective (balance, Hedlund 1969), and that letter is
-    its shortest unbalanced word. Otherwise the rule is surjective iff
-    _shortest_diamond, memoised and shared with decide_injective, finds
-    no diamond (Moore 1962, Myhill 1963); the shortest unbalanced word of
-    a rule with one is searched for, within caps.subset_states, on the
-    first read of `witness`. A rule with more than caps.pair_vertices de
-    Bruijn vertices is refused before the count, as the search refuses it.
-
-    Memoised on (rule, caps) as passed, for the rule at hand, so the same
+    """Exact surjectivity. A rule with more than caps.pair_vertices de
+    Bruijn vertices is refused first, before the letter count, for every
+    diamond search follows this call with the same caps. A table in
+    which some letter has other than m^d windows is not surjective
+    (balance, Hedlund 1969), and that letter is its shortest unbalanced
+    word. Otherwise the rule is surjective iff _shortest_diamond,
+    memoised and shared with decide_injective, finds no diamond (Moore
+    1962, Myhill 1963); the shortest unbalanced word of a rule with one
+    is searched for, within caps.subset_states, on the first read of
+    `witness`. Memoised on (rule, caps), caps passed or not, so the same
     call from decide_injective is a memo hit; a refusal is raised again.
     """
+    return _decide_surjective(rule, caps)
+
+
+@lru_cache(maxsize=1)
+def _decide_surjective(rule: RuleTable, caps: Caps) -> SurjectivityResult:
+    """decide_surjective, with caps always passed, so one memo key per call."""
     m, table = rule.m, rule.table
     n = m**rule.d
-    _check_start_vertices(n, caps)
+    if n > caps.pair_vertices:
+        raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
     for letter in range(m):
         count = table.count(letter)
         if count != n:
             return SurjectivityResult(False, UnbalancedWord((letter,), count, n))
     if _shortest_diamond(rule, caps) is None:
         return SurjectivityResult(True, None)
-    return SurjectivityResult(False, _Deferred(shortest_unbalanced_word, rule, caps))
+    return SurjectivityResult(False, partial(shortest_unbalanced_word, rule, caps))
 
 
 def shortest_unbalanced_word(
@@ -298,12 +303,6 @@ def _letter_path(
     return pid, u, v
 
 
-def _check_start_vertices(n: int, caps: Caps) -> None:
-    """Refuse a diamond search whose n diagonal start vertices exceed the cap."""
-    if n > caps.pair_vertices:
-        raise CapExceeded(f"pair search needs {n} vertices, cap is {caps.pair_vertices}")
-
-
 @lru_cache(maxsize=1)
 def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
     """The shortest diamond, or None if the rule has none. Breadth-first
@@ -327,12 +326,11 @@ def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
     recorded) is never above the ordered search's count, and a search
     that runs out without a diamond has reached n + 2 * (pairs recorded)
     ordered vertices, so it refuses past caps.pair_vertices exactly where
-    the ordered search did. Memoised on (rule, caps) for the rule at hand,
-    so the verdict and the deferred witness share one search.
+    the ordered search did (decide_surjective checks n first). Memoised on
+    (rule, caps), so the verdict and the deferred witness share one search.
     """
     m, d = rule.m, rule.d
     n = m**d
-    _check_start_vertices(n, caps)
     rows, tails = _pair_tables(rule)
     parents: dict[int, int] = {}
     frontier = list(range(0, n * n, n + 1))
@@ -470,6 +468,6 @@ def decide_injective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> InjectivityR
     (u, v) -> (v, u).
     """
     if not decide_surjective(rule, caps).surjective:
-        return InjectivityResult(False, _Deferred(_shortest_diamond, rule, caps))
+        return InjectivityResult(False, partial(_shortest_diamond, rule, caps))
     pair = _offdiagonal_cycle_pair(rule, caps)
     return InjectivityResult(pair is None, pair)

@@ -89,7 +89,6 @@ def interpolate_prime(values: Sequence[int], p: int) -> Poly:
     f(a) times it over a gives the Lagrange interpolant at 0, ..., p-1:
     c_0 = f(0) and c_k = -sum_a f(a) * a**(p-1-k) for 1 <= k < p.
     """
-    check_modulus(p)
     if not is_prime(p):
         raise ValueError(f"interpolation needs a prime modulus, got {p}")
     if len(values) != p:

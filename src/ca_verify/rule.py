@@ -354,8 +354,8 @@ def interior_table(rule: RuleTable, ell: int, r: int) -> tuple[int, ...]:
 # RuleExpression.table) builds its table in build_rule, as an outer sum
 # of one value table per position: no window is evaluated on its own.
 # Each front end checks its arguments first; build_rule then leaves the
-# diameter and the table cap to RuleTable.make, before any part is
-# built, so bad input is refused as it always was.
+# modulus, the diameter and the table cap to RuleTable.make, before any
+# part is built, so bad input is refused as it always was.
 
 
 def build_rule(
@@ -373,7 +373,6 @@ def build_rule(
     the h positions j .. j+h-1, given by its flat table of m**h values
     (leftmost most significant); with h = 0 it is the constant values[0].
     """
-    check_modulus(m)
     return RuleTable.make(m, d, _outer_sum(m, d, terms, block), caps)
 
 
@@ -383,8 +382,8 @@ def _outer_sum(
     terms: Iterable[tuple[int, int | None, int]],
     block: tuple[int, int, Sequence[int]] | None,
 ) -> Iterator[int]:
-    """The table of build_rule, as a generator: RuleTable.make checks d
-    and the table cap before the first part table is built. A position's
+    """The table of build_rule, as a generator: RuleTable.make checks m,
+    d and the table cap before the first part table is built. A position's
     part holds the m values of its monomials summed (zeros without one),
     the block's part its m**h values; the table over positions 1 .. j is
     the outer sum of the table over 1 .. j-1 and the part at j.

@@ -43,7 +43,6 @@ def factorize(m: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def is_prime(m: int) -> bool:
-    check_modulus(m)
     fac = factorize(m)
     return len(fac) == 1 and fac[0][1] == 1
 

@@ -527,6 +527,13 @@ def test_interpolate_validation_errors(tmp_path, capsys):
         "",
         "error: give either inline values or --table-file, not both\n",
     )
+    # a bad modulus is refused as such, not as a table of the wrong length
+    for m in ("0", "-3"):
+        assert run(capsys, "interpolate", "1,2", "--m", m) == (
+            1,
+            "",
+            f"error: modulus must be >= 2, got {m}\n",
+        )
 
 
 def test_interpolate_z14_within_default_cap(capsys, monkeypatch):

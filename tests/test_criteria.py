@@ -44,7 +44,7 @@ from ca_verify.criteria import (
     sufficiency_violation_on_prime,
 )
 from ca_verify.decide import decide_surjective
-from ca_verify.criteria import _family_map, _family_size, _hermite_verdict
+from ca_verify.criteria import _family_map, _family_rule_count, _hermite_verdict
 from ca_verify.rule import (
     RuleTable,
     classify,
@@ -369,7 +369,7 @@ def test_parse_family_round_trip():
     )
     assert spec == FamilySpec(kind="shift_like", moduli=(4,), q_min=1, q_max=4)
     rules = list(enumerate_family(spec))
-    assert _family_size(spec, DEFAULT_CAPS.family_rules) == len(rules) == 8
+    assert _family_rule_count(spec, DEFAULT_CAPS) == len(rules) == 8
     assert rules[0].rule_id == "m4-d0-j1-a1-q1"
 
 

@@ -30,6 +30,7 @@ from ca_verify.decide import (
     PeriodicPair,
     SurjectivityResult,
     UnbalancedWord,
+    _decide_surjective,
     _pair_tables,
     _shortest_diamond,
     count_preimages,
@@ -752,12 +753,12 @@ def test_caps_only_turn_refusals_into_verdicts():
 def pair_search_runs():
     """Counts of the pair-table builds, diamond searches and surjectivity
     decisions run inside the block: entries into the bodies of
-    _pair_tables, _shortest_diamond and decide_surjective, so an answer
+    _pair_tables, _shortest_diamond and _decide_surjective, so an answer
     from a memo is not counted. The memos first get another rule's
     search, so no earlier test's rule is held in them.
     """
     decide_injective(rule_from_code(2, 1, 1)).witness
-    memoised = (_pair_tables, _shortest_diamond, decide_surjective)
+    memoised = (_pair_tables, _shortest_diamond, _decide_surjective)
     bodies = {inspect.unwrap(f).__code__: f.__name__ for f in memoised}
     runs = dict.fromkeys(bodies.values(), 0)
 
@@ -779,7 +780,9 @@ def test_one_pair_search_per_rule():
     d=1 table with a diamond, so its verdict and its injectivity witness
     both need the search; x1 + x2 is surjective, so its verdict and its
     cycle search both need the tables. Injectivity decided first leaves
-    its surjectivity verdict memoised for the call that asks for it.
+    its surjectivity verdict memoised for the call that asks for it, and
+    a surjectivity verdict asked for without caps is the one memo entry
+    that decide_injective, which passes them, finds.
     """
     balanced, surjective = rule_from_code(3, 1, 395), su("m=3; d=1; f=x1+x2")
     runs = {}
@@ -792,7 +795,10 @@ def test_one_pair_search_per_rule():
     with pair_search_runs() as runs["injectivity, then surjectivity, of code 395"]:
         decide_injective(balanced)
         decide_surjective(balanced, DEFAULT_CAPS)
-    once = {"_pair_tables": 1, "_shortest_diamond": 1, "decide_surjective": 1}
+    with pair_search_runs() as runs["surjectivity without caps, then injectivity, of code 395"]:
+        decide_surjective(balanced)
+        decide_injective(balanced)
+    once = {"_pair_tables": 1, "_shortest_diamond": 1, "_decide_surjective": 1}
     assert runs == dict.fromkeys(runs, once)
     assert witness == pair_graph_oracle._shortest_diamond(balanced, DEFAULT_CAPS)
     assert report["injective"]["witness"]["u"] == list(witness.u)

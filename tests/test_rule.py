@@ -191,6 +191,28 @@ def test_table_file_round_trip():
         parse_table_text(bad)
 
 
+def test_table_file_refusals():
+    """Each malformed table file is refused with its message and the
+    offset of the token at fault; a table past the cap is refused as such.
+    """
+    cases = [
+        ("", "table file needs a header line 'm d'", 0),
+        ("3", "table file needs a header line 'm d'", 0),
+        ("3 x", "not an integer: 'x'", 2),
+        ("1 1", "modulus must be >= 2, got 1", 0),
+        ("3 -1", "diameter must be non-negative, got -1", 0),
+        ("3 1\n0 1 2\n", "expected 9 table entries, got 3", 8),
+        ("3 1\n0 1 2 0 1 2 0 5 2\n", "table entry 5 out of range for Z_3", 18),
+    ]
+    for text, message, position in cases:
+        with pytest.raises(RuleParseError) as info:
+            parse_table_text(text)
+        assert str(info.value) == f"{message} (at offset {position})", text
+        assert info.value.position == position, text
+    with pytest.raises(CapExceeded, match=r"^rule table needs 62748517 entries, cap is 16777216$"):
+        parse_table_text("13 6\n")
+
+
 # --- permutivity and essential positions ----------------------------------------
 
 
