@@ -14,8 +14,8 @@ breadth-first search over the unordered off-diagonal pairs, at most
 n(n-1)/2 of them for n = m^d, decides surjectivity and spells the
 shortest diamond. A surjective rule is non-injective iff some
 off-diagonal pair vertex lies on a cycle. Such a cycle never meets the
-diagonal, so one cycle search over the unordered off-diagonal pairs
-settles it.
+diagonal, so a peel of the unordered off-diagonal pairs drops those no
+cycle reaches, and probes from the pairs left find and spell a cycle.
 
 Every rule is decided along one path. By the balance theorem (Hedlund
 1969) a surjective rule gives every letter exactly m^d of its m^(d+1)
@@ -53,6 +53,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain, compress
 from typing import Sequence
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
@@ -362,14 +363,16 @@ def _shortest_diamond(rule: RuleTable, caps: Caps) -> Diamond | None:
 
 def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
     """PeriodicPair of a rule without a diamond, None if it is injective.
-    Tarjan's algorithm on the swap quotient (see decide_injective) finds
-    `start`, the smallest key u*n + v, u < v, on a quotient cycle, which
-    is the smallest off-diagonal pair vertex on any cycle: its mirror has
-    the larger key. It stops at the first root above a start found, as
-    every component reachable from a root is emitted before the next.
-    So `start` does not depend on the order of quotient edges, nor on
-    their repeats, which Tarjan takes. The witness is the breadth-first
-    shortest cycle through start.
+    Kahn's peel of the swap quotient (see decide_injective) counts every
+    key's in-degree, then drops each key whose in-degree falls to zero,
+    listing its heads again (none are stored). The keys left are those
+    reachable from a quotient cycle, none for an injective rule. Each key
+    left u*n + v, u < v, is probed in ascending order by the breadth-first
+    search for the shortest cycle through (u, v), which closes iff {u, v}
+    is on a quotient cycle. So the first probe that closes starts at the
+    smallest off-diagonal pair vertex on a cycle (its mirror has the
+    larger key), and spells the witness; neither depends on the order of
+    quotient edges, nor on their repeats.
     """
     m, n = rule.m, rule.m**rule.d
     total = n * n
@@ -388,59 +391,42 @@ def _offdiagonal_cycle_pair(rule: RuleTable, caps: Caps) -> PeriodicPair | None:
             if x != y
         ]
 
-    order, low = [0] * total, [0] * total  # depth-first index, total once finished
-    stack: list[int] = []
-    count, start = 0, total  # total: no start yet
-    for root in (k for u in range(n) for k in range(u * n + u + 1, u * n + n)):
-        if start < root:
-            break
-        if order[root]:
-            continue
-        calls: list[tuple] = []  # (key, heads, pending heads, stack position)
-        head = root
-        while head is not None or calls:
-            if head is not None:  # enter it
-                count += 1
-                order[head] = low[head] = count
-                heads = quotient(head)
-                calls.append((head, heads, iter(heads), len(stack)))
-                stack.append(head)
-            key, heads, pending, pos = calls[-1]
-            for head in pending:
-                if not order[head]:
-                    break
-                if order[head] < low[key]:
-                    low[key] = order[head]
-            else:
-                head = None
-                calls.pop()
-                if calls and low[key] < low[calls[-1][0]]:
-                    low[calls[-1][0]] = low[key]
-                if low[key] == order[key]:
-                    component = stack[pos:]
-                    del stack[pos:]
-                    for w in component:
-                        order[w] = total
-                    if len(component) > 1 or key in heads:
-                        start = min(start, *component)
-    if start == total:
+    def cycle_through(start: int) -> PeriodicPair | None:
+        """Tracks of the shortest cycle through the pair vertex start, or None."""
+        parents: dict[int, int] = {}
+        frontier = deque([start])
+        while frontier:
+            pid = frontier.popleft()
+            u, v = divmod(pid, n)
+            by_label = tails[v]
+            for a, (x, label) in enumerate(rows[u]):
+                for b, y in by_label[label]:
+                    head = x * n + y
+                    if head == start:
+                        _, left, right = _letter_path(parents, m, n, pid, a, b, False)
+                        return PeriodicPair(CyclicWord(m, left), CyclicWord(m, right))
+                    if head not in parents:
+                        parents[head] = pid
+                        frontier.append(head)
         return None
-    parents: dict[int, int] = {}
-    frontier = deque([start])
-    while frontier:
-        pid = frontier.popleft()
-        u, v = divmod(pid, n)
-        by_label = tails[v]
-        for a, (x, label) in enumerate(rows[u]):
-            for b, y in by_label[label]:
-                head = x * n + y
-                if head == start:
-                    _, left, right = _letter_path(parents, m, n, pid, a, b, False)
-                    return PeriodicPair(CyclicWord(m, left), CyclicWord(m, right))
-                if head not in parents:
-                    parents[head] = pid
-                    frontier.append(head)
-    raise AssertionError("unreachable: start lies on a cycle")
+
+    keys = [range(u * n + u + 1, u * n + n) for u in range(n)]
+    indegree = [0] * total  # 0 at every x*n + y, x >= y
+    for key in chain.from_iterable(keys):
+        for head in quotient(key):
+            indegree[head] += 1
+    dropped = [key for key in chain.from_iterable(keys) if not indegree[key]]
+    while dropped:
+        for head in quotient(dropped.pop()):
+            degree = indegree[head] - 1
+            indegree[head] = degree
+            if not degree:
+                dropped.append(head)
+    for key in compress(range(total), indegree):
+        pair = cycle_through(key)
+        if pair is not None:
+            return pair
+    return None
 
 
 def decide_injective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> InjectivityResult:
@@ -465,7 +451,8 @@ def decide_injective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> InjectivityR
     n(n-1)/2 pairs u < v: a quotient cycle lifts to a path from (u, v) to
     (u, v) or to (v, u), and the mirror image of that path closes the
     cycle. So a quotient self-loop counts, even one whose only edge is
-    (u, v) -> (v, u).
+    (u, v) -> (v, u): the peel counts it in the key's in-degree, so the
+    key is never dropped, and the probe from (u, v) closes through (v, u).
     """
     if not decide_surjective(rule, caps).surjective:
         return InjectivityResult(False, partial(_shortest_diamond, rule, caps))

@@ -353,9 +353,9 @@ def interior_table(rule: RuleTable, ell: int, r: int) -> tuple[int, ...]:
 # Every sum-of-monomials front end (sum_rule, lr_separated_rule,
 # RuleExpression.table) builds its table in build_rule, as an outer sum
 # of one value table per position: no window is evaluated on its own.
-# Each front end checks its arguments first; build_rule then leaves the
+# Each front end checks its positions first; build_rule then leaves the
 # modulus, the diameter and the table cap to RuleTable.make, before any
-# part is built, so bad input is refused as it always was.
+# part is built, and _outer_sum checks the block's length as it reads it.
 
 
 def build_rule(
@@ -401,6 +401,8 @@ def _outer_sum(
     parts: dict[int, tuple[int, Sequence[int]]] = {j: (1, v) for j, v in sums.items()}
     if block is not None:
         j, h, values = block
+        if len(values) != m**h:
+            raise ValueError(f"interior table needs {m ** h} entries, got {len(values)}")
         if h:
             parts[j] = (h, values)
         else:
@@ -451,26 +453,27 @@ def lr_separated_rule(
     """
     if not 1 <= ell < r <= d + 1:
         raise ValueError(f"need 1 <= ell < r <= {d + 1}, got ({ell}, {r})")
-    h = r - ell - 1
-    if len(interior) != m**h:
-        raise ValueError(f"interior table needs {m ** h} entries, got {len(interior)}")
     terms = [(a_ell, ell, q_ell), (a_r, r, q_r)]
-    return build_rule(m, d, terms, (ell + 1, h, interior), caps)
+    return build_rule(m, d, terms, (ell + 1, r - ell - 1, interior), caps)
 
 
 def rule_from_code(m: int, d: int, code: int, caps: Caps = DEFAULT_CAPS) -> RuleTable:
     """Decode a whole rule table from one integer: entry i is the i-th
     base-m digit of `code` (least significant first). Used by exhaustive
-    sweeps so that rule identifiers stay compact and reproducible.
+    sweeps so that rule identifiers stay compact and reproducible. The
+    digits come from a generator, so RuleTable.make checks m, d and the
+    table cap before the first is taken.
     """
-    size = m ** (d + 1)
-    if not 0 <= code < m**size:
-        raise ValueError(f"code {code} out of range for {size} base-{m} digits")
-    entries = []
-    for _ in range(size):
-        code, rem = divmod(code, m)
-        entries.append(rem)
-    return RuleTable.make(m, d, entries, caps)
+
+    def digits() -> Iterator[int]:
+        size, rest = m ** (d + 1), code
+        for _ in range(size if code >= 0 else 0):
+            rest, digit = divmod(rest, m)
+            yield digit
+        if rest:
+            raise ValueError(f"code {code} out of range for {size} base-{m} digits")
+
+    return RuleTable.make(m, d, digits(), caps)
 
 
 # --- expression front end ----------------------------------------------------

@@ -8,12 +8,22 @@ off-diagonal vertex on a cycle; the package answers the same question
 with one cycle search over unordered off-diagonal pairs. The edge
 relation and the diamond search are the oracle's own copies, so the
 package's successor tables are checked, not shared.
+
+tarjan_cycle_pair runs the package's cycle search over unordered pairs,
+on the package's own tables, as an iterative Tarjan, so the package's
+peel and probes are checked witness for witness.
 """
 
 from collections import deque
 
 from ca_verify.caps import CapExceeded, Caps, DEFAULT_CAPS
-from ca_verify.decide import Diamond, InjectivityResult, PeriodicPair
+from ca_verify.decide import (
+    Diamond,
+    InjectivityResult,
+    PeriodicPair,
+    _letter_path,
+    _pair_tables,
+)
 from ca_verify.rule import CyclicWord, RuleTable
 
 
@@ -208,3 +218,87 @@ def pair_graph_injective(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> Injectiv
         return InjectivityResult(False, diamond)
     pair = _offdiagonal_cycle_pair(rule, _pair_graph(rule, caps))
     return InjectivityResult(pair is None, pair)
+
+
+def tarjan_cycle_pair(rule: RuleTable, caps: Caps = DEFAULT_CAPS) -> PeriodicPair | None:
+    """PeriodicPair of a rule without a diamond, None if it is injective.
+    Tarjan's algorithm on the swap quotient (see
+    ca_verify.decide.decide_injective) finds `start`, the smallest key
+    u*n + v, u < v, on a quotient cycle, which is the smallest
+    off-diagonal pair vertex on any cycle: its mirror has the larger key.
+    It stops at the first root above a start found, as every component
+    reachable from a root is emitted before the next. So `start` does
+    not depend on the order of quotient edges, nor on their repeats,
+    which Tarjan takes. The witness is the breadth-first shortest cycle
+    through start.
+    """
+    m, n = rule.m, rule.m**rule.d
+    total = n * n
+    if total > caps.pair_vertices:
+        raise CapExceeded(f"pair graph needs {total} vertices, cap is {caps.pair_vertices}")
+    rows, tails = _pair_tables(rule)
+
+    def quotient(key: int) -> list[int]:
+        """Keys x*n + y, x < y, of the off-diagonal heads (x, y) or (y, x)."""
+        u, v = divmod(key, n)
+        by_label = tails[v]
+        return [
+            x * n + y if x < y else y * n + x
+            for x, label in rows[u]
+            for _, y in by_label[label]
+            if x != y
+        ]
+
+    order, low = [0] * total, [0] * total  # depth-first index, total once finished
+    stack: list[int] = []
+    count, start = 0, total  # total: no start yet
+    for root in (k for u in range(n) for k in range(u * n + u + 1, u * n + n)):
+        if start < root:
+            break
+        if order[root]:
+            continue
+        calls: list[tuple] = []  # (key, heads, pending heads, stack position)
+        head = root
+        while head is not None or calls:
+            if head is not None:  # enter it
+                count += 1
+                order[head] = low[head] = count
+                heads = quotient(head)
+                calls.append((head, heads, iter(heads), len(stack)))
+                stack.append(head)
+            key, heads, pending, pos = calls[-1]
+            for head in pending:
+                if not order[head]:
+                    break
+                if order[head] < low[key]:
+                    low[key] = order[head]
+            else:
+                head = None
+                calls.pop()
+                if calls and low[key] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[key]
+                if low[key] == order[key]:
+                    component = stack[pos:]
+                    del stack[pos:]
+                    for w in component:
+                        order[w] = total
+                    if len(component) > 1 or key in heads:
+                        start = min(start, *component)
+    if start == total:
+        return None
+    parents: dict[int, int] = {}
+    frontier = deque([start])
+    while frontier:
+        pid = frontier.popleft()
+        u, v = divmod(pid, n)
+        by_label = tails[v]
+        for a, (x, label) in enumerate(rows[u]):
+            for b, y in by_label[label]:
+                head = x * n + y
+                if head == start:
+                    _, left, right = _letter_path(parents, m, n, pid, a, b, False)
+                    return PeriodicPair(CyclicWord(m, left), CyclicWord(m, right))
+                if head not in parents:
+                    parents[head] = pid
+                    frontier.append(head)
+    raise AssertionError("unreachable: start lies on a cycle")

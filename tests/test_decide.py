@@ -31,6 +31,7 @@ from ca_verify.decide import (
     SurjectivityResult,
     UnbalancedWord,
     _decide_surjective,
+    _offdiagonal_cycle_pair,
     _pair_tables,
     _shortest_diamond,
     count_preimages,
@@ -51,7 +52,7 @@ from ca_verify.rule import (
 from ca_verify.zmod import factorize, units
 import pair_graph_oracle
 from bipermutive_oracle import BipermutiveCollision, bipermutive_collision
-from pair_graph_oracle import pair_graph_injective
+from pair_graph_oracle import pair_graph_injective, tarjan_cycle_pair
 from subset_oracle import subset_surjective
 
 
@@ -454,6 +455,80 @@ def test_injectivity_matches_pair_graph_oracle_exhaustive():
 @given(small_rules())
 def test_injectivity_matches_pair_graph_oracle(rule):
     assert_injectivity_matches_pair_graph_oracle(rule)
+
+
+@st.composite
+def surjective_sum_rules(draw):
+    """Sums of monomials with a bijective monomial at an outermost window
+    position, so surjective (Hedlund 1969), on up to 16384 pair vertices:
+    m^(2d) <= 2^14. The other end holds a bijective monomial too, any
+    monomial, or none, so the cycle search meets injective rules and
+    rules with cycles at every depth of the quotient.
+    """
+    m = draw(st.integers(min_value=2, max_value=16))
+    max_d = max(d for d in range(1, 8) if m ** (2 * d) <= 2**14)
+    d = draw(st.integers(min_value=1, max_value=max_d))
+    bijective = tuple(
+        q for q in range(1, 7) if sorted(pow(x, q, m) for x in range(m)) == list(range(m))
+    )
+    end, other = draw(st.sampled_from(((1, d + 1), (d + 1, 1))))
+    components = {end: (draw(st.sampled_from(units(m))), draw(st.sampled_from(bijective)))}
+    for j in range(1, d + 2):
+        if j != end and draw(st.booleans()):
+            exponents = bijective if j == other and draw(st.booleans()) else range(1, 7)
+            components[j] = (
+                draw(st.integers(min_value=1, max_value=m - 1)),
+                draw(st.sampled_from(exponents)),
+            )
+    return sum_rule(m, d, components, constant=draw(st.integers(0, m - 1)))
+
+
+def assert_cycle_search_matches_tarjan(rule, label=""):
+    assert _offdiagonal_cycle_pair(rule, DEFAULT_CAPS) == tarjan_cycle_pair(rule), label
+
+
+def test_cycle_search_matches_tarjan_exhaustive():
+    """The peel and the ascending probes against Tarjan's algorithm,
+    witness for witness, on every surjective rule with m=3, d=1 and with
+    m=2, d <= 2.
+    """
+    surjective = 0
+    for m, d in ((3, 1), (2, 0), (2, 1), (2, 2)):
+        for code in range(m ** (m ** (d + 1))):
+            rule = rule_from_code(m, d, code)
+            if decide_surjective(rule, DEFAULT_CAPS).surjective:
+                surjective += 1
+                assert_cycle_search_matches_tarjan(rule, f"m={m} d={d} code {code}")
+    assert surjective == 420 + 2 + 6 + 30
+
+
+@given(surjective_sum_rules())
+def test_cycle_search_matches_tarjan(rule):
+    assert decide_surjective(rule, DEFAULT_CAPS).surjective
+    assert_cycle_search_matches_tarjan(rule)
+
+
+def test_cycle_search_takes_a_mirror_self_loop():
+    """m=3, d=1 code 4223 is surjective, and its smallest quotient key on
+    a cycle, {0, 1}, lies on a self-loop alone: the only edge from (0, 1)
+    into (0, 1) or (1, 0) is the mirror edge (0, 1) -> (1, 0), letters
+    (1, 0), as f(0, 1) = f(1, 0) but f(0, 0) != f(1, 1). The other
+    quotient cycle, through {0, 2} and {1, 2}, never reaches {0, 1}. So
+    the peel must count the self-loop to keep {0, 1}, whose probe spells
+    the two shifts of (10)^infinity. (No surjective rule has such a
+    self-loop as its only cycle: it would merge two points of period 2
+    and leave some point of period 2 with two preimages of a longer
+    period, another collision.)
+    """
+    rule = rule_from_code(3, 1, 4223)
+    edges = pair_graph_oracle._pair_graph(rule, DEFAULT_CAPS)
+    component = pair_graph_oracle._strongly_connected_components(edges)
+    assert [(a, b, head) for a, b, head in edges[1] if head in (1, 3)] == [(1, 0, 3)]
+    assert [v for v in range(9) if component[v] == component[1]] == [1, 3]
+    assert decide_surjective(rule, DEFAULT_CAPS).surjective
+    pair = PeriodicPair(CyclicWord(3, (1, 0)), CyclicWord(3, (0, 1)))
+    assert decide_injective(rule).witness == pair == tarjan_cycle_pair(rule)
+    assert pair.validate(rule)
 
 
 def test_non_surjective_rules_get_diamond_witnesses_exhaustive_m3_d1():

@@ -7,6 +7,7 @@ anchors at radius d // 2 cells of lookback.
 """
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -91,8 +92,22 @@ def test_f_star_shrinks_by_diameter():
 def test_rule_from_code_least_significant_first():
     rule = rule_from_code(3, 0, 5)  # 5 = 2 + 1*3 -> entries (2, 1, 0)
     assert rule.table == (2, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^code 27 out of range for 3 base-3 digits$"):
         rule_from_code(3, 0, 27)
+    with pytest.raises(ValueError, match=r"^code -1 out of range for 9 base-3 digits$"):
+        rule_from_code(3, 1, -1)
+    with pytest.raises(ValueError, match=r"^code 19683 out of range for 9 base-3 digits$"):
+        rule_from_code(3, 1, 3**9)
+
+
+def test_rule_from_code_refuses_a_table_past_the_cap_at_once():
+    """The table cap is checked before any digit is taken from the code,
+    so no number of 3^(3^16) digits is built on the way to the refusal.
+    """
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match=r"^rule table needs 43046721 entries, cap is 16777216$"):
+        rule_from_code(3, 15, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 # --- cyclic words -------------------------------------------------------------
@@ -479,6 +494,9 @@ def test_builders_keep_their_error_messages():
         lr_separated_rule(3, 1, 1, 2, 1, 1, 1, 1, [])
     with pytest.raises(ValueError, match=r"^need 1 <= ell < r <= 3, got \(2, 2\)$"):
         lr_separated_rule(3, 2, 2, 2, 1, 1, 1, 1, [0])
+    # the modulus is checked before the interior's length
+    with pytest.raises(ValueError, match=r"^modulus must be an int, got float$"):
+        lr_separated_rule(2.0, 1, 1, 2, 1, 1, 1, 1, ())
     with pytest.raises(RuleParseError, match=r"^variable x3 outside x1\.\.x2 \(at offset 12\)$"):
         parse_rule("m=3; d=1; f=x3")
     # the diameter and the table cap are checked before any value is built
